@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symphot import cli
+from symphot.symmetric import SynthesisError
 
 
 def _coeff_doc(n, values):
@@ -295,6 +296,20 @@ class TestOutputContract:
     def test_bad_tolerance(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, ["--tol-root", "0", "classify"], HV, capsys)
         assert code == cli.EXIT_INPUT
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_synthesis_error_exits_3(self, command, tmp_path, monkeypatch, capsys):
+        def fail(coeffs, tol):
+            raise SynthesisError("round trip failed")
+
+        monkeypatch.setattr("symphot.cli.params_from_coefficients", fail)
+        code, _ = run_cli(tmp_path, [command], GHZ3)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: round trip failed"]
 
 
 class TestEndToEnd:

@@ -1,0 +1,62 @@
+"""Golden CLI corpus: the exit code and exact stdout bytes of fixed invocations.
+
+``golden/corpus.json`` lists each case's argv, stdin document, exit code and
+stdout.  Every stdout byte must match, with one exception: a
+``max_deviation`` recorded below 1e-12 is a rounding residue, zero in exact
+arithmetic, so it is compared as "both below 1e-12".
+
+After an intended change of output, re-record with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from symphot import cli
+
+CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
+RESIDUE = 1e-12
+_DEVIATION = re.compile(r'("max_deviation": )([^,}]+)')
+
+
+def _load():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def _run(case):
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(case["stdin"])
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(case["argv"])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def _mask_residues(stdout):
+    return _DEVIATION.sub(
+        lambda m: m.group(1) + "<residue>" if float(m.group(2)) < RESIDUE else m.group(0),
+        stdout,
+    )
+
+
+@pytest.mark.parametrize("case", _load(), ids=lambda case: case["name"])
+def test_golden(case):
+    code, stdout = _run(case)
+    assert code == case["exit"]
+    assert _mask_residues(stdout) == _mask_residues(case["stdout"])
+
+
+if __name__ == "__main__":
+    cases = _load()
+    for case in cases:
+        case["exit"], case["stdout"] = _run(case)
+    CORPUS.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
