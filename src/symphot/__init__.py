@@ -5,11 +5,10 @@ from .fock import (
     FockVector,
     PolarizationAmplitude,
     apply_creation,
-    apply_polarization_phase,
+    apply_operator,
     basis_state,
     inner_product,
     product_state,
-    tensor,
     vacuum,
     H,
     V,

@@ -179,17 +179,20 @@ def _print_table(doc: dict, indent: str = "") -> None:
 # ---------------------------------------------------------------- commands
 
 
+def _document_params(kind: str, payload, tol_root: float):
+    """Source parameters of a parsed document, synthesized from its coefficients if needed."""
+    if kind == "coefficients":
+        return params_from_coefficients(payload, tol=tol_root)
+    return payload
+
+
 def cmd_synthesize(args) -> int:
     warnings: list = []
     kind, payload = parse_state_document(_read_document(args.input), warnings.append)
     if kind != "coefficients":
         raise InputError("synthesize requires the 'dicke_coefficients' document form")
     coeffs = payload
-    try:
-        params = params_from_coefficients(coeffs, tol=args.tol_root)
-    except SynthesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    params = params_from_coefficients(coeffs, tol=args.tol_root)
     poly = majorana_polynomial(coeffs)
     roots = poly.roots()
     label = slocc.classify_params(params, tol=args.tol_cluster)
@@ -238,14 +241,7 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     warnings: list = []
     kind, payload = parse_state_document(_read_document(args.input), warnings.append)
-    if kind == "coefficients":
-        try:
-            params = params_from_coefficients(payload, tol=args.tol_root)
-        except SynthesisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-    else:
-        params = payload
+    params = _document_params(kind, payload, args.tol_root)
     label = slocc.classify_params(params, tol=args.tol_cluster)
     out = {
         "N": len(params),
@@ -261,14 +257,7 @@ def cmd_classify(args) -> int:
 def cmd_rates(args) -> int:
     warnings: list = []
     kind, payload = parse_state_document(_read_document(args.input), warnings.append)
-    if kind == "coefficients":
-        try:
-            params = params_from_coefficients(payload, tol=args.tol_root)
-        except SynthesisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-    else:
-        params = payload
+    params = _document_params(kind, payload, args.tol_root)
     n = len(params)
     if args.n is not None and args.n != n:
         raise InputError(f"N={args.n} does not match the {n}-photon document")

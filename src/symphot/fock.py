@@ -136,29 +136,50 @@ def basis_state(modes: int, key: OccupationState, amplitude: complex = 1.0) -> F
     return FockVector(modes, {tuple(key): amplitude})
 
 
+def _create(terms: dict, flat_word) -> dict:
+    """Apply sum_j c_j prod_{i in slots_j} a_i^dag to a raw amplitude map.
+
+    ``flat_word`` holds ``(c_j, slots_j)`` monomials whose slots are flat key
+    indices 2 * mode + pol; each creation maps |n> to sqrt(n+1)|n+1>.
+    Nothing is pruned, so cancellations are left to the caller.
+    """
+    out: dict = {}
+    for key, amp in terms.items():
+        for coeff, slots in flat_word:
+            new, term = key, amp * coeff
+            for idx in slots:
+                n = new[idx] + 1
+                new = new[:idx] + (n,) + new[idx + 1:]
+                term *= math.sqrt(n)
+            out[new] = out.get(new, 0.0) + term
+    return out
+
+
+def apply_operator(state: FockVector, word: Iterable) -> FockVector:
+    """Apply sum_j c_j prod_{(mode, pol) in ops_j} a_{mode,pol}^dag to a state.
+
+    ``word`` is a list of ``(c_j, ((mode, pol), ...))`` monomials, so
+    ``[(alpha, ((0, H),)), (beta, ((0, V),))]`` creates one photon
+    alpha|H> + beta|V> in mode 0.  Monomials with a zero coefficient are
+    skipped after their operators are validated.
+    """
+    flat = []
+    for coeff, ops in word:
+        slots = []
+        for mode, pol in ops:
+            if not 0 <= mode < state.modes:
+                raise ValueError(f"mode {mode} out of range for {state.modes} modes")
+            if pol not in (H, V):
+                raise ValueError(f"polarization must be H (0) or V (1), got {pol}")
+            slots.append(2 * mode + pol)
+        if coeff != 0:
+            flat.append((coeff, tuple(slots)))
+    return FockVector(state.modes, _create(state._amp, flat))
+
+
 def apply_creation(state: FockVector, mode: int, pol: int) -> FockVector:
     """Apply the creation operator for (mode, pol): |n> -> sqrt(n+1)|n+1>."""
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    if pol not in (H, V):
-        raise ValueError(f"polarization must be H (0) or V (1), got {pol}")
-    idx = 2 * mode + pol
-    out = {}
-    for key, amp in state.items():
-        n = key[idx]
-        new = key[:idx] + (n + 1,) + key[idx + 1:]
-        out[new] = out.get(new, 0.0) + amp * math.sqrt(n + 1)
-    return FockVector(state.modes, out)
-
-
-def apply_polarized_creation(state: FockVector, mode: int, pol_state: PolarizationAmplitude) -> FockVector:
-    """Apply alpha * a_H^dag + beta * a_V^dag on the given mode."""
-    out = vacuum(state.modes).scaled(0.0)
-    if pol_state.alpha != 0:
-        out = out + apply_creation(state, mode, H).scaled(pol_state.alpha)
-    if pol_state.beta != 0:
-        out = out + apply_creation(state, mode, V).scaled(pol_state.beta)
-    return out
+    return apply_operator(state, [(1.0, ((mode, pol),))])
 
 
 def product_state(params: Iterable[PolarizationAmplitude], mode: int = 0, modes: int = 1) -> FockVector:
@@ -174,7 +195,7 @@ def product_state(params: Iterable[PolarizationAmplitude], mode: int = 0, modes:
         raise ValueError(f"mode {mode} out of range for {modes} modes")
     state = vacuum(modes)
     for p in params:
-        state = apply_polarized_creation(state, mode, p)
+        state = apply_operator(state, [(p.alpha, ((mode, H),)), (p.beta, ((mode, V),))])
     return state
 
 
@@ -186,26 +207,6 @@ def inner_product(x: FockVector, y: FockVector) -> complex:
     if len(x) > len(y):
         return sum(y.amplitude(k).conjugate() * a for k, a in x.items()).conjugate()
     return sum(a.conjugate() * y.amplitude(k) for k, a in x.items())
-
-
-def tensor(x: FockVector, y: FockVector) -> FockVector:
-    """Join two mode registers; amplitudes multiply."""
-    out = {}
-    for kx, ax in x.items():
-        for ky, ay in y.items():
-            out[kx + ky] = ax * ay
-    return FockVector(x.modes + y.modes, out)
-
-
-def apply_polarization_phase(state: FockVector, mode: int, phase_h: complex, phase_v: complex) -> FockVector:
-    """Multiply each basis amplitude by phase_h**n_H * phase_v**n_V for one mode."""
-    if not 0 <= mode < state.modes:
-        raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-    idx = 2 * mode
-    out = {}
-    for key, amp in state.items():
-        out[key] = amp * phase_h ** key[idx] * phase_v ** key[idx + 1]
-    return FockVector(state.modes, out)
 
 
 def total_photons(key: OccupationState) -> int:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, H, V, PolarizationAmplitude, product_state
-from .symmetric import QubitStateVector, coefficients_from_params
+from .fock import FockVector, H, V, PolarizationAmplitude, _create, product_state
+from .symmetric import QubitStateVector
 
 #: Tolerance for the balanced-amplitude check on cascade construction.
 BALANCE_TOL = 1e-12
@@ -37,12 +37,6 @@ class CascadeSpec:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
-
-    def with_output_phases(self, phases: Sequence[float]) -> "CascadeSpec":
-        """Attach per-output phases t_j -> t_j e^{i phi_j} (diagnostic use)."""
-        ph = np.exp(1j * np.asarray(phases, dtype=float))
-        return CascadeSpec(self.n, self.reflectivities, self.amplitudes * ph,
-                           np.diag(ph) @ self.unitary)
 
 
 def build_cascade(n: int) -> CascadeSpec:
@@ -70,20 +64,6 @@ def build_cascade(n: int) -> CascadeSpec:
 _EXPANSION_CACHE: dict = {}
 
 
-def _apply_sum_creation(terms: dict, column: np.ndarray, pol: int) -> dict:
-    """Apply sum_j column_j * a_{j,pol}^dag to a sparse amplitude map."""
-    out = {}
-    for key, amp in terms.items():
-        for j, cj in enumerate(column):
-            if cj == 0:
-                continue
-            idx = 2 * j + pol
-            nj = key[idx]
-            new = key[:idx] + (nj + 1,) + key[idx + 1:]
-            out[new] = out.get(new, 0.0) + amp * cj * math.sqrt(nj + 1)
-    return out
-
-
 def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
     """Expansion of one occupation basis state under a_{i,P}^dag -> sum_j M_ji a_{j,P}^dag."""
     cache_key = (matrix.tobytes(), matrix.shape, key)
@@ -97,9 +77,9 @@ def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
     terms = {(0,) * (2 * out_modes): 1.0 / math.sqrt(norm)}
     for i in range(in_modes):
         for pol in (H, V):
-            col = matrix[:, i]
+            word = [(cj, (2 * j + pol,)) for j, cj in enumerate(matrix[:, i]) if cj != 0]
             for _ in range(key[2 * i + pol]):
-                terms = _apply_sum_creation(terms, col, pol)
+                terms = _create(terms, word)
     _EXPANSION_CACHE[cache_key] = terms
     return terms
 

@@ -19,16 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (
-    FockVector,
-    PolarizationAmplitude,
-    apply_creation,
-    basis_state,
-    product_state,
-    vacuum,
-    H,
-    V,
-)
+from .fock import FockVector, PolarizationAmplitude, apply_operator, product_state, vacuum, H, V
 from .multiport import apply_mode_isometry, build_cascade, postselection_probability
 from .symmetric import normalization_squared
 
@@ -91,33 +82,6 @@ def sps_combine(params: Sequence[PolarizationAmplitude]) -> tuple[FockVector, fl
     return psi.scaled(1.0 / sqrt(nsq)), nsq / n ** n
 
 
-def sps_combine_simulated(params: Sequence[PolarizationAmplitude]) -> tuple[FockVector, float]:
-    """Explicit input-cascade simulation of the single-photon-source merge.
-
-    Puts one photon in each input mode, applies the reversed cascade unitary,
-    and projects on all photons sharing mode a.  Slower than ``sps_combine``
-    but independent of the closed-form probability.
-    """
-    params = list(params)
-    n = len(params)
-    state = vacuum(n)
-    for i, p in enumerate(params):
-        term = apply_creation(state, i, H).scaled(p.alpha) + apply_creation(state, i, V).scaled(p.beta)
-        state = term
-    # the input multiport is the output cascade run backwards: e_i -> a with
-    # amplitude t_i, i.e. the transpose of the cascade unitary
-    u = build_cascade(n).unitary.T
-    mixed = apply_mode_isometry(state, u)
-    # keep only the all-photons-in-mode-0 component
-    kept = {}
-    for key, amp in mixed.items():
-        if sum(key[2:]) == 0:
-            kept[key[:2]] = amp
-    merged = FockVector(1, kept)
-    prob = merged.norm_squared()  # input was normalized
-    return merged.scaled(1.0 / sqrt(prob)), prob
-
-
 def bell_pair(kind: str = PSI_MINUS, pair_index: int = 1) -> FockVector:
     """A Bell pair (a_H^dag b_V^dag -/+ a_V^dag b_H^dag)|0>/sqrt(2) on modes (a, b_i)."""
     sign = _check_kind(kind)
@@ -135,11 +99,10 @@ def ncl_joint_state(n: int, kind: str = PSI_MINUS) -> FockVector:
     sign = _check_kind(kind)
     if n < 1:
         raise ValueError("need at least one pair source")
+    s = 1.0 / sqrt(2.0)
     state = vacuum(n + 1)
     for i in range(1, n + 1):
-        term = apply_creation(apply_creation(state, 0, H), i, V)
-        other = apply_creation(apply_creation(state, 0, V), i, H)
-        state = (term + other.scaled(sign)).scaled(1.0 / sqrt(2.0))
+        state = apply_operator(state, [(s, ((0, H), (i, V))), (sign * s, ((0, V), (i, H)))])
     # state currently = product / 2^{N/2}; rescale to product / sqrt((N+1)!)
     unnormalized_nsq = state.norm_squared() * 2 ** n
     if abs(unnormalized_nsq - factorial(n + 1)) > 1e-9 * factorial(n + 1):
@@ -161,9 +124,9 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
     n = len(params)
     state = vacuum(n)
     for i, p in enumerate(params):
-        term = apply_creation(state, i, V).scaled(p.alpha.conjugate())
-        other = apply_creation(state, i, H).scaled(p.beta.conjugate())
-        state = term + other.scaled(sign)
+        state = apply_operator(
+            state, [(p.alpha.conjugate(), ((i, V),)), (sign * p.beta.conjugate(), ((i, H),))]
+        )
     return state
 
 
@@ -225,7 +188,7 @@ def cl_input_state(n: int) -> FockVector:
         raise ValueError("emission order must be at least 1")
     state = vacuum(1)
     for _ in range(n):
-        state = apply_creation(apply_creation(state, 0, H), 0, V)
+        state = apply_operator(state, [(1.0, ((0, H), (0, V)))])
     nsq = state.norm_squared()
     if abs(nsq - factorial(n) ** 2) > 1e-9 * factorial(n) ** 2:
         raise AssertionError(f"collinear norm check failed: {nsq} != {factorial(n) ** 2}")
@@ -276,18 +239,3 @@ def rates(
     cl = SchemeRate(cl_mult, cl_in, cl_out, cl_mult * cl_in * cl_out)
 
     return RateReport(n, nsq, sps, ncl, cl)
-
-
-def closed_form_rates(n: int, nsq: float, src: SourceRates = SourceRates()) -> dict:
-    """The printed closed-form rate expressions, for cross-checking."""
-    r_sps = src.c_sps ** n * nsq * factorial(n) / n ** (2 * n)
-    r_ncl = src.c_ncl ** n * nsq * factorial(n) / (2 * n) ** n
-    r_cl = (
-        src.c_cl ** n
-        * nsq
-        * factorial(n)
-        / (2 * n) ** n
-        * factorial(2 * n)
-        / ((n + 1) * (2 * n) ** n)
-    )
-    return {"sps": r_sps, "ncl": r_ncl, "cl": r_cl}

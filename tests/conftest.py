@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symphot.fock import PolarizationAmplitude
+from symphot.schemes import SourceRates
 from symphot.symmetric import dicke_state
 
 
@@ -41,6 +42,21 @@ def pair_source_schmidt_amplitudes(n, sign):
         for k, w in enumerate(weights)
     )
     return amps / sqrt(sum(w * w for w in weights))
+
+
+def closed_form_rates(n, nsq, src=SourceRates()):
+    """The printed closed-form rate expressions, for cross-checking schemes.rates."""
+    r_sps = src.c_sps ** n * nsq * factorial(n) / n ** (2 * n)
+    r_ncl = src.c_ncl ** n * nsq * factorial(n) / (2 * n) ** n
+    r_cl = (
+        src.c_cl ** n
+        * nsq
+        * factorial(n)
+        / (2 * n) ** n
+        * factorial(2 * n)
+        / ((n + 1) * (2 * n) ** n)
+    )
+    return {"sps": r_sps, "ncl": r_ncl, "cl": r_cl}
 
 
 @pytest.fixture

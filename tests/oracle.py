@@ -14,7 +14,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .fock import FockVector, H, V, PolarizationAmplitude
+from symphot.fock import FockVector, H, V, PolarizationAmplitude
 
 mp.mp.dps = 40
 

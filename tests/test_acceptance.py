@@ -16,7 +16,6 @@ from math import comb, factorial, sqrt
 import numpy as np
 import pytest
 
-from symphot import oracle
 from symphot.fock import PolarizationAmplitude, inner_product, product_state
 from symphot.multiport import (
     build_cascade,
@@ -30,7 +29,6 @@ from symphot.schemes import (
     PSI_PLUS,
     SourceRates,
     cl_input_state,
-    closed_form_rates,
     dicke_2n_construction,
     ncl_joint_state,
     project_onto,
@@ -50,7 +48,9 @@ from symphot.symmetric import (
     params_from_coefficients,
 )
 
+import oracle
 from conftest import (
+    closed_form_rates,
     pair_source_schmidt_amplitudes,
     random_coefficients,
     random_params,

@@ -6,8 +6,15 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from symphot import oracle
-from symphot.fock import H, V, PolarizationAmplitude, inner_product, product_state
+from symphot.fock import (
+    H,
+    V,
+    PolarizationAmplitude,
+    apply_operator,
+    inner_product,
+    product_state,
+    vacuum,
+)
 from symphot.multiport import build_cascade, distribute, postselection_probability
 from symphot.schemes import (
     PSI_MINUS,
@@ -17,10 +24,24 @@ from symphot.schemes import (
 )
 from symphot.symmetric import coefficients_from_params
 
+import oracle
 from conftest import random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
+
+
+def applied(factors, modes):
+    """The same operator words applied factor by factor with fock.apply_operator."""
+    state = vacuum(modes)
+    for word in factors:
+        state = apply_operator(state, word)
+    return state
+
+
+def assert_same_state(slow, fast, tol=1e-12):
+    keys = set(slow.keys()) | set(fast.keys())
+    assert max(abs(slow.amplitude(k) - fast.amplitude(k)) for k in keys) <= tol
 
 
 class TestTupleSum:
@@ -58,25 +79,40 @@ class TestExpandProduct:
     def test_product_state_agrees(self, rng):
         for n in (1, 2, 3, 4):
             params = random_params(n, rng)
-            slow = oracle.expand_product(oracle.product_state_factors(params), modes=1)
+            factors = oracle.product_state_factors(params)
+            slow = oracle.expand_product(factors, modes=1)
             fast = product_state(params)
             for key, amp in fast.items():
                 assert slow.amplitude(key) == pytest.approx(amp, abs=1e-12)
+            assert_same_state(slow, applied(factors, modes=1))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind,sign", [(PSI_MINUS, -1), (PSI_PLUS, 1)])
     def test_ncl_joint_state_agrees(self, n, kind, sign):
-        slow = oracle.expand_product(oracle.ncl_factors(n, sign), modes=n + 1)
+        factors = oracle.ncl_factors(n, sign)
+        slow = oracle.expand_product(factors, modes=n + 1)
         fast = ncl_joint_state(n, kind).scaled(sqrt(factorial(n + 1)))
         overlap = inner_product(slow, fast)
         assert overlap.real == pytest.approx(factorial(n + 1), rel=1e-10)
         assert slow.norm_squared() == pytest.approx(factorial(n + 1), rel=1e-10)
+        assert_same_state(slow, applied(factors, modes=n + 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cl_input_state_agrees(self, n):
-        slow = oracle.expand_product(oracle.cl_factors(n), modes=1)
+        factors = oracle.cl_factors(n)
+        slow = oracle.expand_product(factors, modes=1)
         fast = cl_input_state(n).scaled(float(factorial(n)))
         assert slow.amplitude((n, n)) == pytest.approx(fast.amplitude((n, n)), rel=1e-12)
+        assert_same_state(slow, applied(factors, modes=1))
+
+    def test_random_linear_word_agrees(self, rng):
+        # four photons, each a random superposition over every (mode, pol)
+        # slot of three modes
+        slots = [(mode, pol) for mode in range(3) for pol in (H, V)]
+        factors = [
+            [(complex(*rng.normal(size=2)), (slot,)) for slot in slots] for _ in range(4)
+        ]
+        assert_same_state(oracle.expand_product(factors, modes=3), applied(factors, modes=3))
 
     def test_photon_guard(self):
         word = [[(1.0, ((0, H),))]] * (oracle.MAX_PHOTONS + 1)
@@ -84,8 +120,11 @@ class TestExpandProduct:
             oracle.expand_product(word, modes=1)
 
     def test_bad_operator(self):
-        with pytest.raises(ValueError):
-            oracle.expand_product([[(1.0, ((5, H),))]], modes=1)
+        for op in ((5, H), (0, 2)):  # out-of-range mode, bad polarization
+            with pytest.raises(ValueError):
+                oracle.expand_product([[(1.0, (op,))]], modes=1)
+            with pytest.raises(ValueError):
+                apply_operator(vacuum(1), [(1.0, (op,))])
 
 
 class TestBrutePostselect:

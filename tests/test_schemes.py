@@ -7,12 +7,14 @@ import pytest
 from symphot.fock import (
     H,
     V,
+    FockVector,
     PolarizationAmplitude,
-    apply_polarization_phase,
+    apply_operator,
     inner_product,
     product_state,
+    vacuum,
 )
-from symphot.multiport import postselect_one_per_mode, postselection_probability
+from symphot.multiport import apply_mode_isometry, postselect_one_per_mode, postselection_probability
 from symphot.schemes import (
     PSI_MINUS,
     PSI_PLUS,
@@ -20,22 +22,48 @@ from symphot.schemes import (
     bell_pair,
     cl_distribution_probability,
     cl_input_state,
-    closed_form_rates,
     dicke_2n_construction,
     ncl_joint_state,
     project_onto,
     projector_state,
     rates,
     sps_combine,
-    sps_combine_simulated,
 )
 from symphot.multiport import build_cascade, distribute
 from symphot.symmetric import dicke_state, normalization_squared
 
-from conftest import pair_source_schmidt_amplitudes, random_params
+from conftest import closed_form_rates, pair_source_schmidt_amplitudes, random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
+
+
+def sps_combine_simulated(params):
+    """Explicit input-cascade simulation of the single-photon-source merge.
+
+    Puts one photon in each input mode, applies the reversed cascade unitary,
+    and projects on all photons sharing mode a.  Slower than ``sps_combine``
+    but independent of the closed-form probability.
+    """
+    n = len(params)
+    state = vacuum(n)
+    for i, p in enumerate(params):
+        state = apply_operator(state, [(p.alpha, ((i, H),)), (p.beta, ((i, V),))])
+    # the input multiport is the output cascade run backwards: e_i -> a with
+    # amplitude t_i, i.e. the transpose of the cascade unitary
+    mixed = apply_mode_isometry(state, build_cascade(n).unitary.T)
+    # keep only the all-photons-in-mode-0 component
+    merged = FockVector(1, {key[:2]: amp for key, amp in mixed.items() if sum(key[2:]) == 0})
+    prob = merged.norm_squared()  # input was normalized
+    return merged.scaled(1.0 / sqrt(prob)), prob
+
+
+def apply_polarization_phase(state, mode, phase_h, phase_v):
+    """Multiply each basis amplitude by phase_h**n_H * phase_v**n_V for one mode."""
+    idx = 2 * mode
+    return FockVector(state.modes, {
+        key: amp * phase_h ** key[idx] * phase_v ** key[idx + 1] for key, amp in state.items()
+    })
 
 
 class TestSpsCombine:
