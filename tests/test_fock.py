@@ -27,6 +27,7 @@ def tensor(x, y):
             out[kx + ky] = ax * ay
     return FockVector(x.modes + y.modes, out)
 
+
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
 

@@ -36,6 +36,7 @@ def with_output_phases(spec, phases):
     return CascadeSpec(spec.n, spec.reflectivities, spec.amplitudes * ph,
                        np.diag(ph) @ spec.unitary)
 
+
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
 
