@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from math import comb, factorial, sqrt
+from math import comb, factorial, isfinite, sqrt
 
 import numpy as np
 
@@ -99,9 +99,12 @@ def _parse_complex(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise InputError(f"{where}: expected an object with 're'/'im' fields")
     try:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+        re, im = float(obj.get("re", 0.0)), float(obj.get("im", 0.0))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: non-numeric entry") from exc
+    if not (isfinite(re) and isfinite(im)):
+        raise InputError(f"{where}: entries must be finite")
+    return complex(re, im)
 
 
 def parse_state_document(doc: dict, warn=lambda msg: None):
@@ -339,13 +342,7 @@ def _check_projection_symmetry(n: int, rng: np.random.Generator) -> float:
     qubits, _ = postselect_one_per_mode(state)
     worst = 0.0
     for _ in range(5):
-        raw = rng.normal(size=(n, 4))
-        onto = [
-            PolarizationAmplitude.from_unnormalized(
-                complex(row[0], row[1]), complex(row[2], row[3])
-            )
-            for row in raw
-        ]
+        onto = _random_params(n, rng)
         first = project_qubits(qubits, list(range(n)), onto).normalized()
         second = project_qubits(qubits, list(range(n, 2 * n)), onto).normalized()
         worst = max(worst, 1.0 - first.fidelity(second))

@@ -136,22 +136,30 @@ def basis_state(modes: int, key: OccupationState, amplitude: complex = 1.0) -> F
     return FockVector(modes, {tuple(key): amplitude})
 
 
-def _create(terms: dict, flat_word) -> dict:
+def _create(terms: dict, flat_word, *, one_per_mode: bool = False) -> dict:
     """Apply sum_j c_j prod_{i in slots_j} a_i^dag to a raw amplitude map.
 
     ``flat_word`` holds ``(c_j, slots_j)`` monomials whose slots are flat key
     indices 2 * mode + pol; each creation maps |n> to sqrt(n+1)|n+1>.
     Nothing is pruned, so cancellations are left to the caller.
+
+    With ``one_per_mode`` a creation into a spatial mode that already holds a
+    photon (slot ``idx`` or its partner ``idx ^ 1``) drops the term.  This is
+    exact for the one-per-mode sector: creation operators only add photons, so
+    a doubly occupied term never leaves it again.
     """
     out: dict = {}
     for key, amp in terms.items():
         for coeff, slots in flat_word:
             new, term = key, amp * coeff
             for idx in slots:
+                if one_per_mode and (new[idx] or new[idx ^ 1]):
+                    break
                 n = new[idx] + 1
                 new = new[:idx] + (n,) + new[idx + 1:]
                 term *= math.sqrt(n)
-            out[new] = out.get(new, 0.0) + term
+            else:
+                out[new] = out.get(new, 0.0) + term
     return out
 
 
@@ -207,7 +215,3 @@ def inner_product(x: FockVector, y: FockVector) -> complex:
     if len(x) > len(y):
         return sum(y.amplitude(k).conjugate() * a for k, a in x.items()).conjugate()
     return sum(a.conjugate() * y.amplitude(k) for k, a in x.items())
-
-
-def total_photons(key: OccupationState) -> int:
-    return sum(key)

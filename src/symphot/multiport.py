@@ -108,14 +108,18 @@ def distribute(state: FockVector, spec: CascadeSpec) -> FockVector:
     return apply_mode_isometry(state, spec.amplitudes.reshape(spec.n, 1))
 
 
-def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]:
+def postselect_one_per_mode(
+    state: FockVector, total: float | None = None
+) -> tuple[QubitStateVector, float]:
     """Project onto exactly one photon (either polarization) per spatial mode.
 
     Returns the renormalized projection as polarization qubits and the success
-    probability relative to the input's squared norm.  A zero projection gives
+    probability relative to ``total``, the squared norm of the state before
+    any truncation (by default ``state``'s own).  A zero projection gives
     probability 0 and a null (all-zero) state.
     """
-    total = state.norm_squared()
+    if total is None:
+        total = state.norm_squared()
     if total == 0.0:
         raise ValueError("cannot post-select the zero vector")
     n = state.modes
@@ -141,16 +145,27 @@ def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]
 def run_pipeline(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVector, float]:
     """Source parameters -> multiport -> one-per-mode post-selection.
 
-    The success probability is N!/N^N independent of the polarizations.
+    Only the post-selected sector is built: photon i enters as the distributed
+    word sum_j t_j (alpha_i a_{jH}^dag + beta_i a_{jV}^dag), and every term that
+    puts a second photon into a mode is dropped as it appears, so at most 3^N
+    partial terms exist and 2^N remain.  Their amplitudes are the multiport
+    permanents; ``distribute`` is the full expansion they are checked against.
+    The success probability is N!/N^N independent of the polarizations; it is
+    taken relative to the norm of the input, which the isometry preserves.
     """
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
     n = len(params)
-    spec = build_cascade(n)
-    psi = product_state(params)  # unnormalized; postselect divides by its norm
-    distributed = distribute(psi, spec)
-    return postselect_one_per_mode(distributed)
+    t = [complex(tj) for tj in build_cascade(n).amplitudes]
+    terms = {(0,) * (2 * n): 1.0}
+    for p in params:
+        word = [(tj * c, (2 * j + pol,))
+                for j, tj in enumerate(t)
+                for pol, c in ((H, p.alpha), (V, p.beta)) if c != 0]
+        terms = _create(terms, word, one_per_mode=True)
+    total = product_state(params).norm_squared()
+    return postselect_one_per_mode(FockVector(n, terms), total)
 
 
 def postselection_probability(n: int) -> float:

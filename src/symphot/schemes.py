@@ -82,8 +82,8 @@ def sps_combine(params: Sequence[PolarizationAmplitude]) -> tuple[FockVector, fl
     return psi.scaled(1.0 / sqrt(nsq)), nsq / n ** n
 
 
-def bell_pair(kind: str = PSI_MINUS, pair_index: int = 1) -> FockVector:
-    """A Bell pair (a_H^dag b_V^dag -/+ a_V^dag b_H^dag)|0>/sqrt(2) on modes (a, b_i)."""
+def bell_pair(kind: str = PSI_MINUS) -> FockVector:
+    """A Bell pair (a_H^dag b_V^dag -/+ a_V^dag b_H^dag)|0>/sqrt(2) on modes (a, b)."""
     sign = _check_kind(kind)
     s = 1.0 / sqrt(2.0)
     return FockVector(2, {(1, 0, 0, 1): s, (0, 1, 1, 0): sign * s})

@@ -9,7 +9,7 @@ source polarizations; degree deficiencies map to |H> photons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial, sqrt
 from typing import Sequence
 

@@ -3,19 +3,9 @@ from math import comb, factorial, sqrt
 import numpy as np
 import pytest
 
-from symphot.fock import PolarizationAmplitude
+from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
 from symphot.schemes import SourceRates
 from symphot.symmetric import dicke_state
-
-
-def random_params(n, rng):
-    raw = rng.normal(size=(n, 4))
-    return [
-        PolarizationAmplitude.from_unnormalized(
-            complex(r[0], r[1]), complex(r[2], r[3])
-        )
-        for r in raw
-    ]
 
 
 def random_coefficients(n, rng):

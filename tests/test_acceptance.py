@@ -37,8 +37,6 @@ from symphot.schemes import (
 )
 from symphot.slocc import classify_params, degeneracy_configuration
 from symphot.symmetric import (
-    MajoranaPolynomial,
-    QubitStateVector,
     SymmetricCoefficients,
     coefficients_from_params,
     dicke_state,

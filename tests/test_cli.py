@@ -1,11 +1,15 @@
 import json
 import math
+from math import factorial
 
 import numpy as np
 import pytest
 
 from symphot import cli
-from symphot.symmetric import SynthesisError
+from symphot.multiport import build_cascade
+from symphot.symmetric import SynthesisError, hamming_weight
+
+from conftest import random_params
 
 
 def _coeff_doc(n, values):
@@ -161,6 +165,26 @@ class TestSimulate:
         code, _ = run_cli(tmp_path, ["simulate"], GHZ3, capsys)
         assert code == cli.EXIT_INPUT
 
+    def test_ten_photons_closed_form(self, tmp_path, capsys, rng):
+        # every one-per-mode string of weight w (w photons V) collects the
+        # w!(N-w)! orderings of the product term f_w a_H^(N-w) a_V^w, each
+        # with amplitude prod_j t_j
+        n = 10
+        params = [(p.alpha, p.beta) for p in random_params(n, rng)]
+        f = [1.0]
+        for a, b in params:
+            f = [x * a + y * b for x, y in zip(f + [0], [0] + f)]
+        expected = np.array([
+            factorial(hamming_weight(i)) * factorial(n - hamming_weight(i)) * f[hamming_weight(i)]
+            for i in range(2 ** n)
+        ]) * np.prod(build_cascade(n).amplitudes)
+        expected /= np.linalg.norm(expected)
+        code, payload = run_cli(tmp_path, ["simulate"], _param_doc(params), capsys)
+        assert code == cli.EXIT_OK
+        amps = np.array([complex(a["re"], a["im"]) for a in payload["amplitudes"]])
+        assert np.max(np.abs(amps - expected)) < 1e-9
+        assert payload["p_output"] == float(f"{factorial(n) / n ** n:.12g}")
+
 
 class TestClassify:
     def test_param_form(self, tmp_path, capsys):
@@ -296,6 +320,49 @@ class TestOutputContract:
     def test_bad_tolerance(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, ["--tol-root", "0", "classify"], HV, capsys)
         assert code == cli.EXIT_INPUT
+
+
+NON_FINITE = ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf")]
+
+
+def _with_entry(doc, value):
+    """The document with the first complex entry's 're' replaced by ``value``."""
+    doc = json.loads(json.dumps(doc))
+    if "params" in doc:
+        doc["params"][0]["alpha"]["re"] = value
+    else:
+        doc["dicke_coefficients"][0]["re"] = value
+    return doc
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("command,doc", [
+        ("synthesize", GHZ3),
+        ("classify", GHZ3),
+        ("classify", HV),
+        ("rates", GHZ3),
+        ("rates", HV),
+        ("simulate", HV),
+    ], ids=["synthesize", "classify-coefficients", "classify-params",
+            "rates-coefficients", "rates-params", "simulate"])
+    def test_rejected_with_exit_2(self, command, doc, value, tmp_path, capsys):
+        # the float values reach the file as the JSON literals NaN, Infinity
+        # and -Infinity, which json.loads accepts
+        code, _ = run_cli(tmp_path, [command], _with_entry(doc, value))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "finite" in line
+
+    @pytest.mark.parametrize("value", ["nan", float("inf")], ids=repr)
+    def test_imaginary_part_checked(self, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(HV))
+        doc["params"][1]["beta"]["im"] = value
+        code, _ = run_cli(tmp_path, ["simulate"], doc)
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
 
 class TestNumericalFailure:

@@ -1,12 +1,11 @@
-import math
-from math import comb, factorial, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
 
 from symphot.fock import (
-    FockVector,
     PolarizationAmplitude,
+    _create,
     apply_creation,
     product_state,
     vacuum,
@@ -28,6 +27,11 @@ from symphot.symmetric import (
 )
 
 from conftest import random_params
+
+
+def _one_per_mode_keys(terms):
+    return {k: a for k, a in terms.items()
+            if all(k[2 * m] + k[2 * m + 1] <= 1 for m in range(len(k) // 2))}
 
 
 def with_output_phases(spec, phases):
@@ -149,6 +153,58 @@ class TestDickeMonomialMap:
         out, p = postselect_one_per_mode(distribute(state, build_cascade(n)))
         assert p == pytest.approx(postselection_probability(n), abs=1e-12)
         assert out.fidelity(dicke_state(n, k)) == pytest.approx(1.0)
+
+
+class TestOnePerModeSector:
+    """run_pipeline builds only the post-selected sector; distribute is the
+    full expansion it is checked against."""
+
+    @staticmethod
+    def _check_against_full_expansion(params):
+        n = len(params)
+        state, p = run_pipeline(params)
+        psi = product_state(params)
+        full = distribute(psi, build_cascade(n))
+        ref_state, _ = postselect_one_per_mode(full)
+        assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) < 1e-12
+        # the full expansion's own norm drifts by up to ~5e-13 relative at
+        # N = 7 over its C(3N-1, N) terms, so the reference probability is
+        # taken relative to the input norm, as run_pipeline does
+        _, ref_p = postselect_one_per_mode(full, psi.norm_squared())
+        assert p == pytest.approx(ref_p, rel=1e-13, abs=0)
+        assert p == pytest.approx(factorial(n) / n ** n, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_params_match_full_expansion(self, n, rng):
+        for _ in range(3):
+            self._check_against_full_expansion(random_params(n, rng))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_horizontal_matches_full_expansion(self, n):
+        self._check_against_full_expansion([HPOL] * n)
+
+    @pytest.mark.parametrize("n", (3, 5, 7))
+    def test_repeated_polarization_matches_full_expansion(self, n, rng):
+        params = random_params(n - 2, rng)
+        self._check_against_full_expansion(params[:1] * 3 + params[1:])
+
+    @pytest.mark.parametrize("modes", (3, 4))
+    def test_restricted_kernel_is_exact(self, modes, rng):
+        # dropping a doubly occupied term as it appears gives exactly the
+        # unrestricted result filtered to at most one photon per mode,
+        # including monomials that put two photons into one mode
+        slots = 2 * modes
+        full = restricted = {(0,) * slots: 1.0}
+        for _ in range(modes + 1):
+            word = []
+            for _ in range(int(rng.integers(1, 5))):
+                picked = tuple(int(i) for i in rng.integers(0, slots, size=int(rng.integers(1, 3))))
+                word.append((complex(*rng.normal(size=2)), picked))
+            other = int(rng.integers(0, slots))
+            word.append((complex(*rng.normal(size=2)), (other, other ^ 1)))
+            full = _create(full, word)
+            restricted = _create(restricted, word, one_per_mode=True)
+            assert restricted == _one_per_mode_keys(full)
 
 
 class TestRunPipeline:

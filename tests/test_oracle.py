@@ -3,7 +3,6 @@ reference implementations."""
 
 from math import factorial, sqrt
 
-import numpy as np
 import pytest
 
 from symphot.fock import (

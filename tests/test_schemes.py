@@ -1,4 +1,3 @@
-import math
 from math import factorial, sqrt
 
 import numpy as np

@@ -5,7 +5,6 @@ import pytest
 
 from symphot.fock import PolarizationAmplitude
 from symphot.slocc import (
-    ClassLabel,
     DegeneracyConfiguration,
     classify_coefficients,
     classify_params,

@@ -1,4 +1,3 @@
-import math
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from symphot.fock import FockVector, PolarizationAmplitude, product_state
 from symphot.symmetric import (
     SymmetricCoefficients,
-    SynthesisError,
     coefficients_from_params,
     dicke_state,
     hamming_weight,
