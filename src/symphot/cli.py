@@ -9,6 +9,7 @@ outputs are stable byte streams.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,11 +21,11 @@ from . import schemes, slocc
 from .fock import PolarizationAmplitude
 from .multiport import postselection_probability, postselect_one_per_mode, run_pipeline
 from .symmetric import (
+    SYNTHESIS_TOL,
     QubitStateVector,
     SymmetricCoefficients,
     SynthesisError,
     basis_label,
-    coefficients_from_params,
     dicke_state,
     hamming_weight,
     majorana_polynomial,
@@ -32,6 +33,7 @@ from .symmetric import (
     output_state,
     params_from_coefficients,
     project_qubits,
+    scaled_coefficients_from_params,
 )
 
 EXIT_OK = 0
@@ -98,8 +100,12 @@ def _read_document(path: str) -> dict:
 def _parse_complex(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) - {"re", "im"}:
         raise InputError(f"{where}: expected an object with 're'/'im' fields")
+    re, im = obj.get("re", 0.0), obj.get("im", 0.0)
+    # float(True) is 1.0, but a JSON boolean is not a number
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise InputError(f"{where}: booleans are not numbers")
     try:
-        re, im = float(obj.get("re", 0.0)), float(obj.get("im", 0.0))
+        re, im = float(re), float(im)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: non-numeric entry") from exc
     if not (isfinite(re) and isfinite(im)):
@@ -199,8 +205,7 @@ def cmd_synthesize(args) -> int:
     poly = majorana_polynomial(coeffs)
     roots = poly.roots()
     label = slocc.classify_params(params, tol=args.tol_cluster)
-    achieved = output_state(coefficients_from_params(params))
-    fidelity = output_state(coeffs).fidelity(achieved)
+    fidelity = coeffs.fidelity(scaled_coefficients_from_params(params))
     out = {
         "N": coeffs.n,
         "class": label.name,
@@ -427,17 +432,20 @@ def _random_params(n: int, rng: np.random.Generator):
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    tol_root_default = float(os.environ.get(ENV_TOL_ROOT, "1e-9"))
-    tol_cluster_default = float(os.environ.get(ENV_TOL_CLUSTER, str(slocc.CLUSTER_TOL)))
+    """The argument parser; built once per process.
 
+    The tolerance options default to None here; ``main`` resolves them from
+    the environment on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="symphot",
         description="Symmetric photonic state synthesis, simulation and classification.",
     )
-    parser.add_argument("--tol-root", type=float, default=tol_root_default,
+    parser.add_argument("--tol-root", type=float, default=None,
                         help="round-trip tolerance for synthesis")
-    parser.add_argument("--tol-cluster", type=float, default=tol_cluster_default,
+    parser.add_argument("--tol-cluster", type=float, default=None,
                         help="projective-distance tolerance for degeneracy clustering")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--max-n", type=int, default=8,
@@ -479,19 +487,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tol_root <= 0 or args.tol_cluster <= 0:
-        print("error: tolerances must be positive", file=sys.stderr)
-        return EXIT_INPUT
+def _env_tolerance(name: str, default: float) -> float:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
     try:
+        return float(raw)
+    except ValueError:
+        raise InputError(f"{name}={raw!r} is not a number") from None
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.tol_root is None:
+            args.tol_root = _env_tolerance(ENV_TOL_ROOT, SYNTHESIS_TOL)
+        if args.tol_cluster is None:
+            args.tol_cluster = _env_tolerance(ENV_TOL_CLUSTER, slocc.CLUSTER_TOL)
+        if not (args.tol_root > 0 and args.tol_cluster > 0):
+            raise InputError("tolerances must be positive")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -52,6 +52,19 @@ class SymmetricCoefficients:
             raise ValueError("coefficient vector must be nonzero")
         object.__setattr__(self, "c", c)
 
+    def fidelity(self, other: "SymmetricCoefficients") -> float:
+        """|<psi|psi'>| of the normalized Dicke superpositions sum_k c_k |D_N^(k)>.
+
+        The Dicke states are orthonormal, so this is |<c|c'>| / (|c| |c'|) over
+        the N+1 entries; blind to global phase and scale.  Each vector is first
+        divided by its largest modulus so that squaring cannot underflow.
+        """
+        if self.n != other.n:
+            raise ValueError("photon-number mismatch")
+        a = self.c / np.max(np.abs(self.c))
+        b = other.c / np.max(np.abs(other.c))
+        return float(abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
 
 @dataclass(frozen=True)
 class QubitStateVector:
@@ -160,13 +173,9 @@ def dicke_state(n: int, k: int) -> QubitStateVector:
     return QubitStateVector(n, amp)
 
 
-def coefficients_from_params(params: Sequence[PolarizationAmplitude]) -> SymmetricCoefficients:
-    """Expand the product state over the symmetric monomial basis.
-
-    Uses the elementary-symmetric-polynomial recursion: with
-    f_k = [z^k] prod_i (alpha_i + beta_i z), the tuple sum over all N!
-    index orderings collapses to c_k = sqrt(C(N,k)) k!(N-k)! f_k.
-    """
+def _product_polynomial(params: Sequence[PolarizationAmplitude]) -> np.ndarray:
+    """f_k = [z^k] prod_i (alpha_i + beta_i z), k = 0..N, by the
+    elementary-symmetric-polynomial recursion."""
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
@@ -177,11 +186,35 @@ def coefficients_from_params(params: Sequence[PolarizationAmplitude]) -> Symmetr
         hi = i + 1
         f[1 : hi + 1] = p.alpha * f[1 : hi + 1] + p.beta * f[:hi]
         f[0] *= p.alpha
+    return f
+
+
+def coefficients_from_params(params: Sequence[PolarizationAmplitude]) -> SymmetricCoefficients:
+    """Expand the product state over the symmetric monomial basis.
+
+    With f_k = [z^k] prod_i (alpha_i + beta_i z), the tuple sum over all N!
+    index orderings collapses to c_k = sqrt(C(N,k)) k!(N-k)! f_k.
+    """
+    f = _product_polynomial(params)
+    n = len(f) - 1
     c = np.array(
         [sqrt(comb(n, k)) * factorial(k) * factorial(n - k) * f[k] for k in range(n + 1)],
         dtype=complex,
     )
     return SymmetricCoefficients(n, c)
+
+
+def scaled_coefficients_from_params(
+    params: Sequence[PolarizationAmplitude],
+) -> SymmetricCoefficients:
+    """The expansion up to scale, c_k / N! = f_k / sqrt(C(N,k)).
+
+    Holds no factorial, so it stays finite where k!(N-k)! overflows a float
+    (N > 170); use it wherever only the state, not its norm, matters.
+    """
+    f = _product_polynomial(params)
+    n = len(f) - 1
+    return SymmetricCoefficients(n, f / np.sqrt([float(comb(n, k)) for k in range(n + 1)]))
 
 
 def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
@@ -229,10 +262,8 @@ def params_from_coefficients(
         params.append(PolarizationAmplitude(z / scale, 1.0 / scale))
     params.extend(PolarizationAmplitude.horizontal() for _ in range(n - len(roots)))
 
-    target = output_state(unit)
-    achieved = output_state(coefficients_from_params(params))
-    residual = 1.0 - target.fidelity(achieved)
-    if residual > tol:
+    residual = 1.0 - unit.fidelity(scaled_coefficients_from_params(params))
+    if not (residual <= tol):
         raise SynthesisError(
             f"synthesis round trip failed: residual {residual:.3e} exceeds tol {tol:.3e}",
             residual=residual,

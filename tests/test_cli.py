@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from symphot import cli
+from symphot.fock import PolarizationAmplitude
 from symphot.multiport import build_cascade
-from symphot.symmetric import SynthesisError, hamming_weight
+from symphot.symmetric import SynthesisError, coefficients_from_params, hamming_weight
 
-from conftest import random_params
+import oracle
+from conftest import random_coefficients, random_params
 
 
 def _coeff_doc(n, values):
@@ -215,6 +217,27 @@ class TestClassify:
         code, payload = run_cli(tmp_path, ["classify"], near, capsys)
         assert payload["degeneracy_configuration"] == [2]
 
+    def test_tolerance_env_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        near = _param_doc([(1, 0), (math.sqrt(1 - 1e-8), 1e-4)])
+        for value, configuration in (("1e-3", [2]), ("1e-6", [1, 1]), ("1e-3", [2])):
+            monkeypatch.setenv(cli.ENV_TOL_CLUSTER, value)
+            code, payload = run_cli(tmp_path, ["classify"], near, capsys)
+            assert payload["degeneracy_configuration"] == configuration
+        monkeypatch.delenv(cli.ENV_TOL_CLUSTER)
+        code, payload = run_cli(tmp_path, ["classify"], near, capsys)
+        assert payload["degeneracy_configuration"] == [1, 1]
+
+    @pytest.mark.parametrize("name", [cli.ENV_TOL_ROOT, cli.ENV_TOL_CLUSTER])
+    @pytest.mark.parametrize("value", ["abc", "", "nan", "-1"])
+    def test_bad_tolerance_env(self, name, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(name, value)
+        code, _ = run_cli(tmp_path, ["classify"], W_PARAMS)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
 
 class TestRates:
     def test_ghz_ratio(self, tmp_path, capsys):
@@ -317,8 +340,10 @@ class TestOutputContract:
         assert code == cli.EXIT_OK
         assert "class:" in out
 
-    def test_bad_tolerance(self, tmp_path, capsys):
-        code, _ = run_cli(tmp_path, ["--tol-root", "0", "classify"], HV, capsys)
+    @pytest.mark.parametrize("flag", ["--tol-root", "--tol-cluster"])
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    def test_bad_tolerance(self, flag, value, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, [flag, value, "classify"], HV, capsys)
         assert code == cli.EXIT_INPUT
 
 
@@ -365,6 +390,31 @@ class TestNonFiniteInput:
         assert capsys.readouterr().out == ""
 
 
+class TestBooleanInput:
+    # float(True) is 1.0; a JSON boolean must still not pass for a number
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [True, False], ids=repr)
+    @pytest.mark.parametrize("command,doc", [
+        ("synthesize", GHZ3),
+        ("classify", GHZ3),
+        ("classify", HV),
+        ("rates", GHZ3),
+        ("rates", HV),
+        ("simulate", HV),
+    ], ids=["synthesize", "classify-coefficients", "classify-params",
+            "rates-coefficients", "rates-params", "simulate"])
+    def test_rejected_with_exit_2(self, command, doc, value, part, tmp_path, capsys):
+        doc = json.loads(json.dumps(doc))
+        entry = doc["params"][0]["alpha"] if "params" in doc else doc["dicke_coefficients"][0]
+        entry[part] = value
+        code, _ = run_cli(tmp_path, [command], doc)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "boolean" in line
+
+
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
     def test_synthesis_error_exits_3(self, command, tmp_path, monkeypatch, capsys):
@@ -377,6 +427,90 @@ class TestNumericalFailure:
         assert code == cli.EXIT_NUMERICAL
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: round trip failed"]
+
+    @pytest.mark.parametrize("exc", [OverflowError, MemoryError])
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_overflow_and_memory_exit_3(self, command, exc, tmp_path, monkeypatch, capsys):
+        def fail(coeffs, tol):
+            raise exc()
+
+        monkeypatch.setattr("symphot.cli.params_from_coefficients", fail)
+        code, _ = run_cli(tmp_path, [command], GHZ3)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["synthesize", "classify"])
+    def test_binomial_overflow_exits_3(self, command, tmp_path, capsys):
+        # sqrt(C(1100, k)) of the Majorana polynomial does not fit a float
+        n = 1100
+        code, _ = run_cli(tmp_path, [command], _coeff_doc(n, [1] + [0] * (n - 1) + [1]))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_NUMERICAL
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "overflow" in line
+
+
+class TestSymmetricSubspaceOnly:
+    """synthesize and classify work in the (N+1)-dim Dicke basis."""
+
+    def test_no_dense_state_built(self, tmp_path, capsys, monkeypatch, rng):
+        def dense(*args, **kwargs):
+            raise AssertionError("a 2^N state vector was built")
+
+        for name in ("output_state", "QubitStateVector"):
+            monkeypatch.setattr(f"symphot.symmetric.{name}", dense)
+            monkeypatch.setattr(f"symphot.cli.{name}", dense)
+        doc = _coeff_doc(8, random_coefficients(8, rng))
+        for command in ("synthesize", "classify"):
+            code, payload = run_cli(tmp_path, [command], doc, capsys)
+            assert code == cli.EXIT_OK
+            assert payload["degeneracy_configuration"] == [1] * 8
+        assert payload is not None
+
+    def test_thirty_photon_product_state(self, tmp_path, capsys, monkeypatch, rng):
+        n = 30
+        params = random_params(n, rng)
+        c = coefficients_from_params(params).c
+        doc = _coeff_doc(n, c / np.linalg.norm(c))
+        code, payload = run_cli(tmp_path, ["classify"], doc, capsys)
+        assert code == cli.EXIT_OK
+        assert payload["degeneracy_configuration"] == [1] * n
+        code, payload = run_cli(tmp_path, ["synthesize"], doc, capsys)
+        assert code == cli.EXIT_OK
+        assert payload["degeneracy_configuration"] == [1] * n
+        assert payload["round_trip_fidelity"] >= 1 - 1e-9
+        # the single-mode product state |{N-k}_H, k_V> amplitudes are
+        # proportional to the Dicke coefficients; one mode holds N+1 terms, so
+        # the oracle's multi-mode enumeration guard does not apply
+        printed = [PolarizationAmplitude.from_unnormalized(
+            complex(p["alpha"]["re"], p["alpha"]["im"]),
+            complex(p["beta"]["re"], p["beta"]["im"])) for p in payload["params"]]
+        monkeypatch.setattr(oracle, "MAX_PHOTONS", n)
+        fock = oracle.expand_product(oracle.product_state_factors(printed), 1)
+        achieved = np.array([fock.amplitude((n - k, k)) for k in range(n + 1)])
+        target = np.asarray(c)
+        fidelity = abs(np.vdot(target, achieved)) / (
+            np.linalg.norm(target) * np.linalg.norm(achieved))
+        assert 1 - fidelity <= 1e-9
+
+    @pytest.mark.parametrize("command", ["synthesize", "classify"])
+    def test_degree_200_document(self, command, tmp_path, capsys):
+        n = 200
+        rng = np.random.default_rng(200)
+        code, _ = run_cli(tmp_path, [command], _coeff_doc(n, random_coefficients(n, rng)))
+        captured = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+        if code == cli.EXIT_OK:
+            assert json.loads(captured.out)["N"] == n
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ")
 
 
 class TestEndToEnd:

@@ -14,6 +14,7 @@ from symphot.symmetric import (
     output_state,
     params_from_coefficients,
     project_qubits,
+    scaled_coefficients_from_params,
 )
 
 from conftest import random_coefficients, random_params
@@ -105,6 +106,70 @@ class TestNormalization:
                 assert normalization_squared(params) == pytest.approx(
                     product_state(params).norm_squared(), abs=1e-10
                 )
+
+
+class TestScaledCoefficients:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_expansion_over_n_factorial(self, n, rng):
+        for params in (random_params(n, rng), [random_params(1, rng)[0]] * n, [HPOL] * n):
+            scaled = scaled_coefficients_from_params(params).c
+            full = coefficients_from_params(params).c
+            assert np.max(np.abs(scaled * factorial(n) - full)) <= 1e-14 * np.max(np.abs(full))
+
+    def test_finite_past_factorial_overflow(self, rng):
+        # 200! does not fit a float; the scaled expansion never forms it
+        params = random_params(200, rng)
+        coeffs = scaled_coefficients_from_params(params)
+        assert np.all(np.isfinite(coeffs.c))
+        assert coeffs.fidelity(coeffs) == pytest.approx(1.0, abs=1e-14)
+
+
+def _dicke_vector(c):
+    return SymmetricCoefficients(len(c) - 1, np.asarray(c, dtype=complex))
+
+
+class TestCoefficientFidelity:
+    """SymmetricCoefficients.fidelity against the dense 2^N output states."""
+
+    @staticmethod
+    def _dense(a, b):
+        return output_state(a).fidelity(output_state(b))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_pairs_match_dense(self, n, rng):
+        for _ in range(3):
+            a = _dicke_vector(random_coefficients(n, rng))
+            b = _dicke_vector(random_coefficients(n, rng) * complex(*rng.normal(size=2)))
+            assert abs(a.fidelity(b) - self._dense(a, b)) <= 1e-14
+            # a state against a rescaled, rephased copy of itself
+            c = _dicke_vector(a.c * 3.7e-5 * np.exp(0.9j))
+            assert abs(a.fidelity(c) - self._dense(a, c)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 12])
+    def test_degenerate_and_zero_leading_match_dense(self, n, rng):
+        ghz = np.zeros(n + 1)
+        ghz[0] = ghz[n] = 1.0
+        w = np.zeros(n + 1)
+        w[1] = 1.0
+        all_v = np.zeros(n + 1)
+        all_v[n] = 1.0
+        zero_leading = random_coefficients(n, rng)
+        zero_leading[: (n + 1) // 2] = 0.0
+        repeated = coefficients_from_params([random_params(1, rng)[0]] * n).c
+        vectors = [ghz, w, all_v, zero_leading, repeated]
+        for x in vectors:
+            for y in vectors:
+                a, b = _dicke_vector(x), _dicke_vector(y)
+                assert abs(a.fidelity(b) - self._dense(a, b)) <= 1e-14
+
+    def test_orthogonal_and_identical(self):
+        a = _dicke_vector([1, 0, 0, 0])
+        assert a.fidelity(_dicke_vector([0, 0, 2j, 0])) == 0.0
+        assert a.fidelity(_dicke_vector([-5, 0, 0, 0])) == pytest.approx(1.0, abs=1e-15)
+
+    def test_photon_number_mismatch(self):
+        with pytest.raises(ValueError):
+            _dicke_vector([1, 0]).fidelity(_dicke_vector([1, 0, 0]))
 
 
 class TestOutputState:
