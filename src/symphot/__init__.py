@@ -57,6 +57,7 @@ from .symmetric import (
     output_state,
     params_from_coefficients,
     project_qubits,
+    scaled_coefficients_from_params,
 )
 
 __version__ = "0.1.0"

@@ -340,37 +340,44 @@ class TestOutputContract:
         assert code == cli.EXIT_OK
         assert "class:" in out
 
+    def test_bad_tolerance(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, ["--tol-root", "0", "classify"], HV, capsys)
+        assert code == cli.EXIT_INPUT
+
     @pytest.mark.parametrize("flag", ["--tol-root", "--tol-cluster"])
-    @pytest.mark.parametrize("value", ["0", "nan"])
-    def test_bad_tolerance(self, flag, value, tmp_path, capsys):
-        code, _ = run_cli(tmp_path, [flag, value, "classify"], HV, capsys)
+    def test_nan_tolerance(self, flag, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, [flag, "nan", "classify"], HV, capsys)
         assert code == cli.EXIT_INPUT
 
 
 NON_FINITE = ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf")]
 
 
-def _with_entry(doc, value):
-    """The document with the first complex entry's 're' replaced by ``value``."""
+def _with_entry(doc, value, part="re"):
+    """The document with the first complex entry's ``part`` replaced by ``value``."""
     doc = json.loads(json.dumps(doc))
     if "params" in doc:
-        doc["params"][0]["alpha"]["re"] = value
+        doc["params"][0]["alpha"][part] = value
     else:
-        doc["dicke_coefficients"][0]["re"] = value
+        doc["dicke_coefficients"][0][part] = value
     return doc
+
+
+#: Every command that reads a state document, on each document form it takes.
+EVERY_DOCUMENT_COMMAND = pytest.mark.parametrize("command,doc", [
+    ("synthesize", GHZ3),
+    ("classify", GHZ3),
+    ("classify", HV),
+    ("rates", GHZ3),
+    ("rates", HV),
+    ("simulate", HV),
+], ids=["synthesize", "classify-coefficients", "classify-params",
+        "rates-coefficients", "rates-params", "simulate"])
 
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
-    @pytest.mark.parametrize("command,doc", [
-        ("synthesize", GHZ3),
-        ("classify", GHZ3),
-        ("classify", HV),
-        ("rates", GHZ3),
-        ("rates", HV),
-        ("simulate", HV),
-    ], ids=["synthesize", "classify-coefficients", "classify-params",
-            "rates-coefficients", "rates-params", "simulate"])
+    @EVERY_DOCUMENT_COMMAND
     def test_rejected_with_exit_2(self, command, doc, value, tmp_path, capsys):
         # the float values reach the file as the JSON literals NaN, Infinity
         # and -Infinity, which json.loads accepts
@@ -394,20 +401,9 @@ class TestBooleanInput:
     # float(True) is 1.0; a JSON boolean must still not pass for a number
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("value", [True, False], ids=repr)
-    @pytest.mark.parametrize("command,doc", [
-        ("synthesize", GHZ3),
-        ("classify", GHZ3),
-        ("classify", HV),
-        ("rates", GHZ3),
-        ("rates", HV),
-        ("simulate", HV),
-    ], ids=["synthesize", "classify-coefficients", "classify-params",
-            "rates-coefficients", "rates-params", "simulate"])
+    @EVERY_DOCUMENT_COMMAND
     def test_rejected_with_exit_2(self, command, doc, value, part, tmp_path, capsys):
-        doc = json.loads(json.dumps(doc))
-        entry = doc["params"][0]["alpha"] if "params" in doc else doc["dicke_coefficients"][0]
-        entry[part] = value
-        code, _ = run_cli(tmp_path, [command], doc)
+        code, _ = run_cli(tmp_path, [command], _with_entry(doc, value, part))
         captured = capsys.readouterr()
         assert code == cli.EXIT_INPUT
         assert captured.out == ""
@@ -469,7 +465,6 @@ class TestSymmetricSubspaceOnly:
             code, payload = run_cli(tmp_path, [command], doc, capsys)
             assert code == cli.EXIT_OK
             assert payload["degeneracy_configuration"] == [1] * 8
-        assert payload is not None
 
     def test_thirty_photon_product_state(self, tmp_path, capsys, monkeypatch, rng):
         n = 30
@@ -492,9 +487,7 @@ class TestSymmetricSubspaceOnly:
         monkeypatch.setattr(oracle, "MAX_PHOTONS", n)
         fock = oracle.expand_product(oracle.product_state_factors(printed), 1)
         achieved = np.array([fock.amplitude((n - k, k)) for k in range(n + 1)])
-        target = np.asarray(c)
-        fidelity = abs(np.vdot(target, achieved)) / (
-            np.linalg.norm(target) * np.linalg.norm(achieved))
+        fidelity = abs(np.vdot(c, achieved)) / (np.linalg.norm(c) * np.linalg.norm(achieved))
         assert 1 - fidelity <= 1e-9
 
     @pytest.mark.parametrize("command", ["synthesize", "classify"])
