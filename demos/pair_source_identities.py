@@ -20,16 +20,15 @@ import numpy as np
 from symphot import dicke_state, postselect_one_per_mode
 from symphot.multiport import build_cascade, distribute
 from symphot.schemes import PSI_PLUS, cl_input_state, dicke_2n_construction
-from symphot.symmetric import hamming_weight
+from symphot.symmetric import hamming_weights
 
 
 def schmidt_expected(n):
-    amps = np.zeros(2 ** (2 * n), dtype=complex)
-    for idx in range(2 ** (2 * n)):
-        if hamming_weight(idx) == n:
-            k = hamming_weight(idx >> n)
-            amps[idx] = 1.0 / (sqrt(n + 1) * comb(n, k))
-    return amps
+    # rows of the (2^N, 2^N) view index the A half, columns the B half
+    k = hamming_weights(n)[:, None]
+    weight = 1.0 / (sqrt(n + 1) * np.array([comb(n, j) for j in range(n + 1)]))
+    amps = np.where(k + hamming_weights(n)[None, :] == n, weight[k], 0.0)
+    return amps.reshape(-1)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
-from math import comb, factorial, isfinite, sqrt
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
@@ -25,11 +26,9 @@ from .symmetric import (
     QubitStateVector,
     SymmetricCoefficients,
     SynthesisError,
-    basis_label,
     dicke_state,
-    hamming_weight,
+    hamming_weights,
     majorana_polynomial,
-    normalization_squared,
     output_state,
     params_from_coefficients,
     project_qubits,
@@ -228,17 +227,13 @@ def cmd_simulate(args) -> int:
     params = payload
     n = len(params)
     state, p_o = run_pipeline(params)
-    nsq = normalization_squared(params)
+    report = schemes.rates(n, params)
     out = {
         "N": n,
         "amplitudes": [_complex_doc(z) for z in state.amplitudes],
-        "basis_labels": [basis_label(i, n) for i in range(2 ** n)],
-        "norm_squared": nsq,
-        "p_input": {
-            "cl": schemes.cl_distribution_probability(n),
-            "ncl": nsq / factorial(n + 1),
-            "sps": nsq / n ** n,
-        },
+        "basis_labels": ["".join(label) for label in itertools.product("HV", repeat=n)],
+        "norm_squared": report.norm_squared,
+        "p_input": {name: getattr(report, name).p_input for name in ("cl", "ncl", "sps")},
         "p_output": p_o,
         "warnings": warnings,
     }
@@ -327,14 +322,13 @@ def _check_signed_schmidt(n: int) -> float:
     state = schemes.dicke_2n_construction(n, schemes.PSI_MINUS)
     qubits, _ = postselect_one_per_mode(state)
     # the claimed amplitudes: (-1)^(weight of the A half) / sqrt(C(2N,N)) on
-    # weight-N strings, zero elsewhere
-    expected = np.zeros(2 ** (2 * n), dtype=complex)
+    # weight-N strings, zero elsewhere; rows of the (2^N, 2^N) view index the
+    # A half, columns the B half
+    w = hamming_weights(n)
     scale = 1.0 / sqrt(comb(2 * n, n))
-    for idx in range(2 ** (2 * n)):
-        if hamming_weight(idx) != n:
-            continue
-        expected[idx] = (-1) ** hamming_weight(idx >> n) * scale
-    expected_state = QubitStateVector(2 * n, expected)
+    signed = np.where(w[:, None] % 2, -scale, scale)
+    expected = np.where(w[:, None] + w[None, :] == n, signed, 0.0)
+    expected_state = QubitStateVector(2 * n, expected.reshape(-1))
     # fix the global sign via the largest-magnitude amplitude
     ref = int(np.argmax(np.abs(expected_state.amplitudes)))
     phase = qubits.amplitudes[ref] / expected_state.amplitudes[ref]
@@ -381,7 +375,7 @@ def cmd_self_test(args) -> int:
 
     def record(name: str, deviation: float, tol: float):
         results[name] = {"max_deviation": float(deviation), "tolerance": tol}
-        if deviation > tol:
+        if not (deviation <= tol):
             failures.append(name)
 
     worst = 0.0

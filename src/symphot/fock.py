@@ -36,7 +36,7 @@ class PolarizationAmplitude:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         nsq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(nsq - 1.0) > POLARIZATION_NORM_TOL:
+        if not (abs(nsq - 1.0) <= POLARIZATION_NORM_TOL):
             raise ValueError(
                 f"polarization amplitudes must satisfy |alpha|^2+|beta|^2=1, got {nsq!r}"
             )
@@ -102,9 +102,6 @@ class FockVector:
     def norm_squared(self) -> float:
         return sum(a.real * a.real + a.imag * a.imag for a in self._amp.values())
 
-    def is_zero(self) -> bool:
-        return not self._amp
-
     def scaled(self, factor: complex) -> "FockVector":
         return FockVector(self.modes, {k: a * factor for k, a in self._amp.items()})
 
@@ -136,30 +133,22 @@ def basis_state(modes: int, key: OccupationState, amplitude: complex = 1.0) -> F
     return FockVector(modes, {tuple(key): amplitude})
 
 
-def _create(terms: dict, flat_word, *, one_per_mode: bool = False) -> dict:
+def _create(terms: dict, flat_word) -> dict:
     """Apply sum_j c_j prod_{i in slots_j} a_i^dag to a raw amplitude map.
 
     ``flat_word`` holds ``(c_j, slots_j)`` monomials whose slots are flat key
     indices 2 * mode + pol; each creation maps |n> to sqrt(n+1)|n+1>.
     Nothing is pruned, so cancellations are left to the caller.
-
-    With ``one_per_mode`` a creation into a spatial mode that already holds a
-    photon (slot ``idx`` or its partner ``idx ^ 1``) drops the term.  This is
-    exact for the one-per-mode sector: creation operators only add photons, so
-    a doubly occupied term never leaves it again.
     """
     out: dict = {}
     for key, amp in terms.items():
         for coeff, slots in flat_word:
             new, term = key, amp * coeff
             for idx in slots:
-                if one_per_mode and (new[idx] or new[idx ^ 1]):
-                    break
                 n = new[idx] + 1
                 new = new[:idx] + (n,) + new[idx + 1:]
                 term *= math.sqrt(n)
-            else:
-                out[new] = out.get(new, 0.0) + term
+            out[new] = out.get(new, 0.0) + term
     return out
 
 

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, H, V, PolarizationAmplitude, _create, product_state
-from .symmetric import QubitStateVector
+from .fock import FockVector, H, V, PolarizationAmplitude, _create
+from .symmetric import QubitStateVector, normalization_squared
 
 #: Tolerance for the balanced-amplitude check on cascade construction.
 BALANCE_TOL = 1e-12
@@ -55,7 +55,7 @@ def build_cascade(n: int) -> CascadeSpec:
         g[k - 1, k - 1] = -sqrt(1.0 - r)
         u = u @ g
     t = u[:, 0].copy()
-    if np.max(np.abs(np.abs(t) - 1.0 / sqrt(n))) > BALANCE_TOL:
+    if not (np.max(np.abs(np.abs(t) - 1.0 / sqrt(n))) <= BALANCE_TOL):
         raise AssertionError("cascade amplitudes are not balanced")
     return CascadeSpec(n, tuple(1.0 / k for k in range(2, n + 1)), t, u)
 
@@ -108,18 +108,24 @@ def distribute(state: FockVector, spec: CascadeSpec) -> FockVector:
     return apply_mode_isometry(state, spec.amplitudes.reshape(spec.n, 1))
 
 
-def postselect_one_per_mode(
-    state: FockVector, total: float | None = None
-) -> tuple[QubitStateVector, float]:
+def _qubits(n: int, sel: np.ndarray, total: float) -> tuple[QubitStateVector, float]:
+    """Renormalized one-per-mode amplitudes and their probability relative to ``total``.
+
+    A zero projection gives probability 0 and a null (all-zero) state.
+    """
+    proj = float(np.vdot(sel, sel).real)
+    if proj == 0.0:
+        return QubitStateVector(n, sel), 0.0
+    return QubitStateVector(n, sel / sqrt(proj)), proj / total
+
+
+def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]:
     """Project onto exactly one photon (either polarization) per spatial mode.
 
     Returns the renormalized projection as polarization qubits and the success
-    probability relative to ``total``, the squared norm of the state before
-    any truncation (by default ``state``'s own).  A zero projection gives
-    probability 0 and a null (all-zero) state.
+    probability relative to the squared norm of ``state``.
     """
-    if total is None:
-        total = state.norm_squared()
+    total = state.norm_squared()
     if total == 0.0:
         raise ValueError("cannot post-select the zero vector")
     n = state.modes
@@ -135,37 +141,40 @@ def postselect_one_per_mode(
             idx |= nv << (n - 1 - m)
         if ok:
             sel[idx] = amp
-    proj = float(np.vdot(sel, sel).real)
-    prob = proj / total
-    if proj == 0.0:
-        return QubitStateVector(n, sel), 0.0
-    return QubitStateVector(n, sel / sqrt(proj)), prob
+    return _qubits(n, sel, total)
 
 
 def run_pipeline(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVector, float]:
     """Source parameters -> multiport -> one-per-mode post-selection.
 
-    Only the post-selected sector is built: photon i enters as the distributed
-    word sum_j t_j (alpha_i a_{jH}^dag + beta_i a_{jV}^dag), and every term that
-    puts a second photon into a mode is dropped as it appears, so at most 3^N
-    partial terms exist and 2^N remain.  Their amplitudes are the multiport
-    permanents; ``distribute`` is the full expansion they are checked against.
-    The success probability is N!/N^N independent of the polarizations; it is
-    taken relative to the norm of the input, which the isometry preserves.
+    Only the post-selected sector is built, as an array with one axis per
+    output mode whose entries 0, 1, 2 mean empty, H and V.  Photon i moves the
+    amplitude of every empty mode j into its H and V entries with weights
+    t_j alpha_i and t_j beta_i, so no mode ever receives a second photon.
+    The filled block [1:3]^N, in C order, is the qubit vector with qubit 0 the
+    most significant bit; its entries are the multiport permanents, and
+    ``distribute`` is the full expansion they are checked against.  The
+    success probability is N!/N^N independent of the polarizations; it is
+    taken relative to the norm of the input, sum_k |c_k|^2 / N!, which the
+    isometry preserves.
     """
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
     n = len(params)
-    t = [complex(tj) for tj in build_cascade(n).amplitudes]
-    terms = {(0,) * (2 * n): 1.0}
+    t = build_cascade(n).amplitudes
+    sector = np.zeros((3,) * n, dtype=complex)
+    sector[(0,) * n] = 1.0
     for p in params:
-        word = [(tj * c, (2 * j + pol,))
-                for j, tj in enumerate(t)
-                for pol, c in ((H, p.alpha), (V, p.beta)) if c != 0]
-        terms = _create(terms, word, one_per_mode=True)
-    total = product_state(params).norm_squared()
-    return postselect_one_per_mode(FockVector(n, terms), total)
+        pol = np.array([p.alpha, p.beta])
+        nxt = np.zeros_like(sector)
+        for j, tj in enumerate(t):
+            # mode j's axis first: entry 0 is empty, 1:3 are H and V
+            src, dst = np.moveaxis(sector, j, 0), np.moveaxis(nxt, j, 0)
+            dst[1:] += np.multiply.outer(tj * pol, src[0])
+        sector = nxt
+    sel = sector[(slice(1, 3),) * n].reshape(2 ** n)
+    return _qubits(n, sel, normalization_squared(params))
 
 
 def postselection_probability(n: int) -> float:

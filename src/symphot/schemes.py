@@ -105,7 +105,7 @@ def ncl_joint_state(n: int, kind: str = PSI_MINUS) -> FockVector:
         state = apply_operator(state, [(s, ((0, H), (i, V))), (sign * s, ((0, V), (i, H)))])
     # state currently = product / 2^{N/2}; rescale to product / sqrt((N+1)!)
     unnormalized_nsq = state.norm_squared() * 2 ** n
-    if abs(unnormalized_nsq - factorial(n + 1)) > 1e-9 * factorial(n + 1):
+    if not (abs(unnormalized_nsq - factorial(n + 1)) <= 1e-9 * factorial(n + 1)):
         raise AssertionError(
             f"joint-state norm check failed: {unnormalized_nsq} != {factorial(n + 1)}"
         )
@@ -190,7 +190,7 @@ def cl_input_state(n: int) -> FockVector:
     for _ in range(n):
         state = apply_operator(state, [(1.0, ((0, H), (0, V)))])
     nsq = state.norm_squared()
-    if abs(nsq - factorial(n) ** 2) > 1e-9 * factorial(n) ** 2:
+    if not (abs(nsq - factorial(n) ** 2) <= 1e-9 * factorial(n) ** 2):
         raise AssertionError(f"collinear norm check failed: {nsq} != {factorial(n) ** 2}")
     return state.scaled(1.0 / factorial(n))
 

@@ -101,7 +101,7 @@ def degeneracy_configuration(
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     sizes, _ = _cluster(params, tol)
     return DegeneracyConfiguration(tuple(sizes))

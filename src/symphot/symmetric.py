@@ -70,8 +70,8 @@ class SymmetricCoefficients:
 class QubitStateVector:
     """Dense state vector over N polarization qubits.
 
-    Index convention: qubit 0 is the most significant bit, bit value 1 = |V>,
-    so ``basis_label`` reads left to right in mode order.
+    Index convention: axis q of ``amplitudes.reshape((2,) * n)`` is qubit q,
+    so qubit 0 is the most significant bit; bit value 1 = |V>.
     """
 
     n: int
@@ -102,13 +102,12 @@ class QubitStateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
 
-def basis_label(index: int, n: int) -> str:
-    """Bitstring label like 'HVH' for a computational-basis index."""
-    return "".join("V" if (index >> (n - 1 - i)) & 1 else "H" for i in range(n))
-
-
-def hamming_weight(index: int) -> int:
-    return bin(index).count("1")
+def hamming_weights(n: int) -> np.ndarray:
+    """Number of |V> qubits in each of the 2^n basis indices, in index order."""
+    w = np.zeros((), dtype=int)
+    for _ in range(n):
+        w = np.add.outer(w, (0, 1))
+    return w.reshape(2 ** n)
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,6 @@ class MajoranaPolynomial:
         cutoff = DEGREE_TOL * np.max(np.abs(p))
         nonzero = np.nonzero(np.abs(p) > cutoff)[0]
         return int(nonzero[-1]) if nonzero.size else 0
-
-    def __call__(self, z: complex) -> complex:
-        return complex(np.polyval(self.coefficients[::-1], z))
 
     def roots(self) -> np.ndarray:
         """Roots via companion-matrix eigenvalues, Newton-polished."""
@@ -165,11 +161,7 @@ def dicke_state(n: int, k: int) -> QubitStateVector:
     """Equal superposition of all n-qubit bitstrings with k qubits in |V>."""
     if not 0 <= k <= n:
         raise ValueError(f"excitation number k={k} out of range for n={n}")
-    amp = np.zeros(2 ** n, dtype=complex)
-    scale = 1.0 / sqrt(comb(n, k))
-    for idx in range(2 ** n):
-        if hamming_weight(idx) == k:
-            amp[idx] = scale
+    amp = np.where(hamming_weights(n) == k, 1.0 / sqrt(comb(n, k)), 0.0)
     return QubitStateVector(n, amp)
 
 
@@ -226,11 +218,8 @@ def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
 def output_state(coeffs: SymmetricCoefficients) -> QubitStateVector:
     """Renormalized Dicke superposition sum_k c_k |D_N^(k)>."""
     n = coeffs.n
-    amp = np.zeros(2 ** n, dtype=complex)
-    per_string = [coeffs.c[k] / sqrt(comb(n, k)) for k in range(n + 1)]
-    for idx in range(2 ** n):
-        amp[idx] = per_string[hamming_weight(idx)]
-    return QubitStateVector(n, amp).normalized()
+    per_string = np.array([coeffs.c[k] / sqrt(comb(n, k)) for k in range(n + 1)])
+    return QubitStateVector(n, per_string[hamming_weights(n)]).normalized()
 
 
 def majorana_polynomial(coeffs: SymmetricCoefficients) -> MajoranaPolynomial:
@@ -249,7 +238,7 @@ def params_from_coefficients(
     N - K degree-deficiency slots are |H> photons.  The round trip is checked
     against the requested tolerance and a failure raises SynthesisError.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     n = coeffs.n
     # overall scale of c is irrelevant to the roots; normalize for conditioning
@@ -286,23 +275,11 @@ def project_qubits(
     if len(set(positions)) != len(positions):
         raise ValueError("positions must be distinct")
     n = state.n
-    keep = [q for q in range(n) if q not in set(positions)]
-    m = len(keep)
-    residual = np.zeros(2 ** m, dtype=complex)
-    for idx in range(2 ** n):
-        a = state.amplitudes[idx]
-        if a == 0:
-            continue
-        weight = 1.0 + 0.0j
-        for q, s in zip(positions, onto):
-            bit = (idx >> (n - 1 - q)) & 1
-            weight *= (s.beta if bit else s.alpha).conjugate()
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        out_idx = 0
-        for j, q in enumerate(keep):
-            out_idx |= ((idx >> (n - 1 - q)) & 1) << (m - 1 - j)
-        residual[out_idx] += weight * a
-    return QubitStateVector(m, residual)
+    if not all(0 <= q < n for q in positions):
+        raise ValueError(f"positions must lie in 0..{n - 1}")
+    bra = np.ones(())
+    for s in onto:
+        bra = np.multiply.outer(bra, np.conj([s.alpha, s.beta]))
+    residual = np.tensordot(bra, state.amplitudes.reshape((2,) * n),
+                            axes=(list(range(len(onto))), list(positions)))
+    return QubitStateVector(n - len(positions), residual.reshape(-1))

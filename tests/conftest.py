@@ -8,6 +8,11 @@ from symphot.schemes import SourceRates
 from symphot.symmetric import dicke_state
 
 
+def hamming_weight(index):
+    """Number of |V> qubits (set bits) in one basis index."""
+    return bin(index).count("1")
+
+
 def random_coefficients(n, rng):
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     return c / np.linalg.norm(c)

@@ -5,13 +5,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from symphot import cli
+from symphot import cli, fock, multiport
 from symphot.fock import PolarizationAmplitude
 from symphot.multiport import build_cascade
-from symphot.symmetric import SynthesisError, coefficients_from_params, hamming_weight
+from symphot.symmetric import SynthesisError, coefficients_from_params
 
 import oracle
-from conftest import random_coefficients, random_params
+from conftest import hamming_weight, random_coefficients, random_params
 
 
 def _coeff_doc(n, values):
@@ -167,11 +167,11 @@ class TestSimulate:
         code, _ = run_cli(tmp_path, ["simulate"], GHZ3, capsys)
         assert code == cli.EXIT_INPUT
 
-    def test_ten_photons_closed_form(self, tmp_path, capsys, rng):
+    @pytest.mark.parametrize("n", (8, 10, 12))
+    def test_many_photons_closed_form(self, n, tmp_path, capsys, rng):
         # every one-per-mode string of weight w (w photons V) collects the
         # w!(N-w)! orderings of the product term f_w a_H^(N-w) a_V^w, each
         # with amplitude prod_j t_j
-        n = 10
         params = [(p.alpha, p.beta) for p in random_params(n, rng)]
         f = [1.0]
         for a, b in params:
@@ -185,6 +185,20 @@ class TestSimulate:
         assert code == cli.EXIT_OK
         amps = np.array([complex(a["re"], a["im"]) for a in payload["amplitudes"]])
         assert np.max(np.abs(amps - expected)) < 1e-9
+        assert payload["p_output"] == float(f"{factorial(n) / n ** n:.12g}")
+
+    def test_sector_only(self, tmp_path, capsys, monkeypatch, rng):
+        # simulate builds neither Fock vectors nor a post-selection of one
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fock kernel called")
+
+        for owner, name in ((fock, "_create"), (multiport, "_create"),
+                            (multiport, "postselect_one_per_mode")):
+            monkeypatch.setattr(owner, name, refuse)
+        n = 8
+        params = [(p.alpha, p.beta) for p in random_params(n, rng)]
+        code, payload = run_cli(tmp_path, ["simulate"], _param_doc(params), capsys)
+        assert code == cli.EXIT_OK
         assert payload["p_output"] == float(f"{factorial(n) / n ** n:.12g}")
 
 

@@ -168,6 +168,17 @@ class TestPolarizationAmplitude:
         p = PolarizationAmplitude.from_unnormalized(3.0, 4.0)
         assert abs(p.alpha) ** 2 + abs(p.beta) ** 2 == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), complex(0.0, float("nan"))))
+    @pytest.mark.parametrize("slot", ("alpha", "beta"))
+    def test_rejects_non_finite(self, value, slot):
+        # a NaN norm compares False against every tolerance
+        args = {"alpha": 0.0, "beta": 0.0, slot: value}
+        with pytest.raises(ValueError):
+            PolarizationAmplitude(**args)
+        args = {"alpha": 1.0, "beta": 1.0, slot: value}
+        with pytest.raises(ValueError):
+            PolarizationAmplitude.from_unnormalized(**args)
+
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_overlap_hermitian(self, ar, ai, br, bi):

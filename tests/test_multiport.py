@@ -3,9 +3,9 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
+from symphot import fock, multiport
 from symphot.fock import (
     PolarizationAmplitude,
-    _create,
     apply_creation,
     product_state,
     vacuum,
@@ -27,11 +27,6 @@ from symphot.symmetric import (
 )
 
 from conftest import random_params
-
-
-def _one_per_mode_keys(terms):
-    return {k: a for k, a in terms.items()
-            if all(k[2 * m] + k[2 * m + 1] <= 1 for m in range(len(k) // 2))}
 
 
 def with_output_phases(spec, phases):
@@ -165,12 +160,12 @@ class TestOnePerModeSector:
         state, p = run_pipeline(params)
         psi = product_state(params)
         full = distribute(psi, build_cascade(n))
-        ref_state, _ = postselect_one_per_mode(full)
+        ref_state, p_full = postselect_one_per_mode(full)
         assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) < 1e-12
         # the full expansion's own norm drifts by up to ~5e-13 relative at
         # N = 7 over its C(3N-1, N) terms, so the reference probability is
         # taken relative to the input norm, as run_pipeline does
-        _, ref_p = postselect_one_per_mode(full, psi.norm_squared())
+        ref_p = p_full * full.norm_squared() / psi.norm_squared()
         assert p == pytest.approx(ref_p, rel=1e-13, abs=0)
         assert p == pytest.approx(factorial(n) / n ** n, rel=1e-13, abs=0)
 
@@ -188,23 +183,21 @@ class TestOnePerModeSector:
         params = random_params(n - 2, rng)
         self._check_against_full_expansion(params[:1] * 3 + params[1:])
 
-    @pytest.mark.parametrize("modes", (3, 4))
-    def test_restricted_kernel_is_exact(self, modes, rng):
-        # dropping a doubly occupied term as it appears gives exactly the
-        # unrestricted result filtered to at most one photon per mode,
-        # including monomials that put two photons into one mode
-        slots = 2 * modes
-        full = restricted = {(0,) * slots: 1.0}
-        for _ in range(modes + 1):
-            word = []
-            for _ in range(int(rng.integers(1, 5))):
-                picked = tuple(int(i) for i in rng.integers(0, slots, size=int(rng.integers(1, 3))))
-                word.append((complex(*rng.normal(size=2)), picked))
-            other = int(rng.integers(0, slots))
-            word.append((complex(*rng.normal(size=2)), (other, other ^ 1)))
-            full = _create(full, word)
-            restricted = _create(restricted, word, one_per_mode=True)
-            assert restricted == _one_per_mode_keys(full)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_no_fock_kernel(self, n, monkeypatch, rng):
+        # the sector array alone gives the state: no Fock vector is built and
+        # nothing is post-selected
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fock kernel called")
+
+        for owner, name in ((fock, "_create"), (multiport, "_create"),
+                            (multiport, "postselect_one_per_mode")):
+            monkeypatch.setattr(owner, name, refuse)
+        params = random_params(n, rng)
+        state, p = run_pipeline(params)
+        assert p == pytest.approx(factorial(n) / n ** n, rel=1e-13, abs=0)
+        algebraic = output_state(coefficients_from_params(params))
+        assert state.fidelity(algebraic) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRunPipeline:

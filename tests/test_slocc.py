@@ -87,6 +87,10 @@ class TestDegeneracyConfiguration:
         with pytest.raises(ValueError):
             degeneracy_configuration([HPOL], tol=0.0)
 
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError):
+            degeneracy_configuration([HPOL], tol=float("nan"))
+
     def test_tolerance_controls_merging(self):
         near = PolarizationAmplitude.from_unnormalized(1.0, 1e-4)
         assert degeneracy_configuration([HPOL, near], tol=1e-6).multiplicities == (1, 1)

@@ -5,10 +5,11 @@ import pytest
 
 from symphot.fock import FockVector, PolarizationAmplitude, product_state
 from symphot.symmetric import (
+    QubitStateVector,
     SymmetricCoefficients,
     coefficients_from_params,
     dicke_state,
-    hamming_weight,
+    hamming_weights,
     majorana_polynomial,
     normalization_squared,
     output_state,
@@ -17,7 +18,7 @@ from symphot.symmetric import (
     scaled_coefficients_from_params,
 )
 
-from conftest import random_coefficients, random_params
+from conftest import hamming_weight, random_coefficients, random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
@@ -197,6 +198,11 @@ class TestOutputState:
             assert out.amplitudes[idx] == pytest.approx(ref)
 
 
+@pytest.mark.parametrize("n", range(0, 11))
+def test_hamming_weight_table(n):
+    assert hamming_weights(n).tolist() == [hamming_weight(i) for i in range(2 ** n)]
+
+
 class TestMajoranaPolynomial:
     def test_ghz_roots_are_cube_roots_of_unity(self):
         c = np.array([1, 0, 0, 1], complex) / sqrt(2)
@@ -291,6 +297,12 @@ class TestSynthesis:
                 SymmetricCoefficients(2, np.array([1, 0, 0], complex)), tol=0
             )
 
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError):
+            params_from_coefficients(
+                SymmetricCoefficients(2, np.array([1, 0, 0], complex)), tol=float("nan")
+            )
+
 
 class TestProjectQubits:
     def test_projects_single_qubit(self):
@@ -306,6 +318,30 @@ class TestProjectQubits:
         # <+|GHZ> = (|HH> + |VV>)/sqrt(2)
         assert abs(res.amplitudes[0b00]) == pytest.approx(1 / sqrt(2))
         assert abs(res.amplitudes[0b11]) == pytest.approx(1 / sqrt(2))
+
+    @pytest.mark.parametrize("positions", ([3, 0], [1, 3], [2], [0, 1, 2, 3], []))
+    def test_matches_kron_reference(self, positions, rng):
+        # <s_1...s_m| (x) 1 on the kept qubits, one Kronecker factor per qubit
+        n = 4
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        state = QubitStateVector(n, amps)
+        onto = random_params(len(positions), rng)
+        bras = dict(zip(positions, onto))
+        op = np.ones((1, 1))
+        for q in range(n):
+            if q in bras:
+                factor = np.conj([[bras[q].alpha, bras[q].beta]])
+            else:
+                factor = np.eye(2)
+            op = np.kron(op, factor)
+        res = project_qubits(state, positions, onto)
+        assert res.n == n - len(positions)
+        assert np.max(np.abs(res.amplitudes - op @ amps)) < 1e-12
+
+    @pytest.mark.parametrize("position", (-1, 3))
+    def test_position_out_of_range(self, position):
+        with pytest.raises(ValueError):
+            project_qubits(dicke_state(3, 1), [position], [VPOL])
 
 
 def test_symmetric_coefficients_validation():
