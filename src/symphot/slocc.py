@@ -68,6 +68,8 @@ def _cluster(params: Sequence[PolarizationAmplitude], tol: float):
     A pair is borderline when its distance falls in [tol/10, tol]: close
     enough that chained merges could be tolerance artifacts.
     """
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     n = len(params)
     parent = list(range(n))
 
@@ -101,8 +103,6 @@ def degeneracy_configuration(
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     sizes, _ = _cluster(params, tol)
     return DegeneracyConfiguration(tuple(sizes))
 

@@ -86,8 +86,6 @@ class TestDegeneracyConfiguration:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             degeneracy_configuration([HPOL], tol=0.0)
-
-    def test_nan_tolerance(self):
         with pytest.raises(ValueError):
             degeneracy_configuration([HPOL], tol=float("nan"))
 
@@ -108,6 +106,11 @@ class TestDegeneracyConfiguration:
 
 
 class TestClassify:
+    def test_nan_tolerance(self):
+        # a NaN tolerance merges nothing and would call three equal photons GHZ
+        with pytest.raises(ValueError):
+            classify_params([HPOL] * 3, tol=float("nan"))
+
     def test_three_qubit_names(self):
         assert classify_params([HPOL, HPOL, HPOL]).name == "separable"
         assert classify_params([VPOL, HPOL, HPOL]).name == "W"

@@ -292,16 +292,10 @@ class TestSynthesis:
                 taken.add(j)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            params_from_coefficients(
-                SymmetricCoefficients(2, np.array([1, 0, 0], complex)), tol=0
-            )
-
-    def test_nan_tolerance(self):
-        with pytest.raises(ValueError):
-            params_from_coefficients(
-                SymmetricCoefficients(2, np.array([1, 0, 0], complex)), tol=float("nan")
-            )
+        coeffs = SymmetricCoefficients(2, np.array([1, 0, 0], complex))
+        for tol in (0, float("nan")):
+            with pytest.raises(ValueError):
+                params_from_coefficients(coeffs, tol=tol)
 
 
 class TestProjectQubits:
