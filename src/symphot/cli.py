@@ -126,7 +126,7 @@ def parse_state_document(doc: dict, warn=lambda msg: None):
         if "N" not in doc:
             raise InputError("'dicke_coefficients' form requires 'N'")
         n = doc["N"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InputError("'N' must be a positive integer")
         entries = doc["dicke_coefficients"]
         if not isinstance(entries, list) or len(entries) != n + 1:
@@ -137,6 +137,12 @@ def parse_state_document(doc: dict, warn=lambda msg: None):
         )
         if not np.any(c != 0):
             raise InputError("coefficient vector must be nonzero")
+        # the state is blind to scale: bring the largest real or imaginary
+        # part into [0.5, 1) by an exact power of two, so that norms of entries
+        # near the float limits neither overflow nor underflow
+        parts = c.view(float)
+        _, exponent = np.frexp(np.max(np.abs(parts)))
+        c = np.ldexp(parts, -exponent).view(complex)
         return "coefficients", SymmetricCoefficients(n, c)
     entries = doc["params"]
     if not isinstance(entries, list) or not entries:

@@ -96,8 +96,13 @@ def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
     out_modes = matrix.shape[0]
     merged: dict = {}
     for key, amp in state.items():
-        for out_key, coeff in _expand_basis_state(key, state.modes, matrix).items():
-            merged[out_key] = merged.get(out_key, 0.0) + amp * coeff
+        terms = _expand_basis_state(key, state.modes, matrix)
+        # one bulk update per input key; keys already present keep their
+        # place and get their old amplitude added back
+        old = {k: merged[k] for k in merged.keys() & terms.keys()}
+        merged.update(zip(terms, map(amp.__mul__, terms.values())))
+        for k, a in old.items():
+            merged[k] = a + merged[k]
     return FockVector(out_modes, merged)
 
 
@@ -123,24 +128,22 @@ def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]
     """Project onto exactly one photon (either polarization) per spatial mode.
 
     Returns the renormalized projection as polarization qubits and the success
-    probability relative to the squared norm of ``state``.
+    probability relative to the squared norm of ``state``.  The 2^n
+    one-per-mode keys, each mode (1, 0) for H or (0, 1) for V, are looked up
+    rather than found by a scan, so the cost is O(2^n n) whatever the number
+    of terms in ``state``.
     """
     total = state.norm_squared()
     if total == 0.0:
         raise ValueError("cannot post-select the zero vector")
     n = state.modes
-    sel = np.zeros(2 ** n, dtype=complex)
-    for key, amp in state.items():
-        idx = 0
-        ok = True
-        for m in range(n):
-            nh, nv = key[2 * m], key[2 * m + 1]
-            if nh + nv != 1:
-                ok = False
-                break
-            idx |= nv << (n - 1 - m)
-        if ok:
-            sel[idx] = amp
+    # extending every key by H then V, mode by mode, lists the keys in the
+    # order of itertools.product: qubit index order, qubit 0 the most
+    # significant bit
+    keys = [()]
+    for _ in range(n):
+        keys = [key + mode for key in keys for mode in ((1, 0), (0, 1))]
+    sel = np.array([state.amplitude(key) for key in keys], dtype=complex)
     return _qubits(n, sel, total)
 
 

@@ -14,7 +14,7 @@ Mode registers for joint states are ordered [a, b_1, ..., b_N].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +36,8 @@ class SourceRates:
     c_cl: float = 1.0
 
     def __post_init__(self):
-        if min(self.c_sps, self.c_ncl, self.c_cl) < 0:
-            raise ValueError("source rates must be non-negative")
+        if not all(isfinite(c) and c >= 0 for c in (self.c_sps, self.c_ncl, self.c_cl)):
+            raise ValueError("source rates must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,17 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
+from symphot.multiport import _qubits
 from symphot.schemes import SourceRates
 from symphot.symmetric import dicke_state
+
+# the same examples on every run, and no per-example deadline: wall times on a
+# loaded machine vary too much for one
+settings.register_profile("symphot", derandomize=True, deadline=None)
+settings.load_profile("symphot")
 
 
 def hamming_weight(index):
@@ -37,6 +44,30 @@ def pair_source_schmidt_amplitudes(n, sign):
         for k, w in enumerate(weights)
     )
     return amps / sqrt(sum(w * w for w in weights))
+
+
+def postselect_one_per_mode_scan(state):
+    """Reference post-selection: scan every term and keep the one-per-mode ones.
+
+    Returns what ``multiport.postselect_one_per_mode`` returns, bit for bit.
+    """
+    total = state.norm_squared()
+    if total == 0.0:
+        raise ValueError("cannot post-select the zero vector")
+    n = state.modes
+    sel = np.zeros(2 ** n, dtype=complex)
+    for key, amp in state.items():
+        idx = 0
+        ok = True
+        for m in range(n):
+            nh, nv = key[2 * m], key[2 * m + 1]
+            if nh + nv != 1:
+                ok = False
+                break
+            idx |= nv << (n - 1 - m)
+        if ok:
+            sel[idx] = amp
+    return _qubits(n, sel, total)
 
 
 def closed_form_rates(n, nsq, src=SourceRates()):

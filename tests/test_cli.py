@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import sys
+import warnings
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symphot import cli, fock, multiport
 from symphot.fock import PolarizationAmplitude
@@ -283,6 +288,17 @@ class TestRates:
         code, _ = run_cli(tmp_path, ["rates", "--c-sps", "-1"], HV, capsys)
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--c-sps", "--c-ncl", "--c-cl"])
+    def test_non_finite_rate_flag(self, flag, value, tmp_path, capsys):
+        # NaN or Infinity would reach stdout, which is not strict JSON
+        code, _ = run_cli(tmp_path, ["rates", f"{flag}={value}"], HV)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "finite" in line
+
 
 class TestIdentityCheck:
     def test_single_pair_dicke(self, capsys):
@@ -423,6 +439,140 @@ class TestBooleanInput:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "boolean" in line
+
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_boolean_n_rejected(self, command, tmp_path, capsys):
+        # N = true would pass for N = 1 with two coefficients
+        doc = {"N": True, "dicke_coefficients": [{"re": 1.0}, {"re": 1.0}]}
+        code, _ = run_cli(tmp_path, [command], doc)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "'N'" in line
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def run_strict(argv, doc):
+    """Run the CLI on a document passed on stdin.
+
+    Returns (code, stdout, stderr, warnings raised).  Unlike ``run_cli`` it
+    needs no pytest fixture, so Hypothesis can call it once per example.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        saved, sys.stdin = sys.stdin, stdin
+        try:
+            code = cli.main(list(argv) + ["-"])
+        finally:
+            sys.stdin = saved
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def assert_clean_exit(code, out, err, caught):
+    """The document contract: strict JSON on exit 0, else one error line."""
+    assert caught == []
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_NUMERICAL, cli.EXIT_INVARIANT)
+    if code == cli.EXIT_OK:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
+
+class TestExtremeMagnitudes:
+    """The coefficient form is blind to scale, up to the float limits."""
+
+    @pytest.mark.parametrize("scale", [2.0 ** 1000, 2.0 ** -1000], ids=["2^1000", "2^-1000"])
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_power_of_two_scale_keeps_bytes(self, command, scale, rng):
+        c = random_coefficients(4, rng)
+        _, expected, _, _ = run_strict([command], _coeff_doc(4, c))
+        result = run_strict([command], _coeff_doc(4, c * scale))
+        assert_clean_exit(*result)
+        assert result[1] == expected
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 0, 0, -1e308],
+        [1e-320, 0, 0, 1e-320],
+        [1e300, 1e-300, 0, 1e300],
+        [1.7e308 + 1.7e308j, 0, 0, 1.7e308 - 1.7e308j],
+    ], ids=["huge", "subnormal", "mixed", "huge-complex"])
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_float_limits(self, command, values):
+        result = run_strict([command], _coeff_doc(3, [complex(v) for v in values]))
+        assert_clean_exit(*result)
+        assert result[0] == cli.EXIT_OK
+        if command != "rates":
+            assert json.loads(result[1])["class"] == "GHZ"
+
+
+#: Finite floats, the float limits and subnormals among them.
+_FUZZ_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, 2.2e-308, 1e-320, -5e-324, 0.0, -0.0]),
+)
+
+#: Any 're' or 'im' value: numbers, booleans, null, numeric and other strings.
+_FUZZ_ANY = st.one_of(
+    _FUZZ_FLOATS, st.booleans(), st.none(), st.floats().map(repr), st.text(max_size=4),
+)
+
+
+def _fuzz_complex(numbers):
+    return st.fixed_dictionaries({}, optional={"re": numbers, "im": numbers})
+
+
+@st.composite
+def _fuzz_entries(draw, length):
+    """Complex entries; in half the documents every entry is well formed."""
+    if draw(st.booleans()):
+        entry = _fuzz_complex(_FUZZ_FLOATS)
+    else:
+        entry = st.one_of(_fuzz_complex(_FUZZ_ANY), _FUZZ_ANY)
+    return draw(st.lists(entry, min_size=length, max_size=length))
+
+
+@st.composite
+def _fuzz_coefficient_docs(draw):
+    n = draw(st.one_of(st.integers(0, 8), st.booleans()))
+    length = max(0, int(n) + 1 + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return {"N": n, "dicke_coefficients": draw(_fuzz_entries(length))}
+
+
+@st.composite
+def _fuzz_params_docs(draw):
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        params = []
+        for _ in range(n):
+            theta = draw(st.floats(0.0, math.pi))
+            phi = draw(st.floats(-math.pi, math.pi))
+            beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)
+            params.append({"alpha": {"re": math.cos(theta / 2)},
+                           "beta": {"re": beta.real, "im": beta.imag}})
+    else:
+        values = iter(draw(_fuzz_entries(2 * n)))
+        params = [{"alpha": next(values), "beta": next(values)} for _ in range(n)]
+    return {"params": params}
+
+
+class TestDocumentFuzz:
+    @given(
+        command=st.sampled_from(["synthesize", "classify", "rates", "simulate"]),
+        doc=st.one_of(_fuzz_coefficient_docs(), _fuzz_params_docs()),
+    )
+    @settings(max_examples=300)
+    def test_any_document_exits_cleanly(self, command, doc):
+        assert_clean_exit(*run_strict([command], doc))
 
 
 class TestNumericalFailure:

@@ -180,7 +180,7 @@ class TestPolarizationAmplitude:
             PolarizationAmplitude.from_unnormalized(**args)
 
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_overlap_hermitian(self, ar, ai, br, bi):
         za, zb = complex(ar, ai), complex(br, bi)
         if abs(za) < 1e-6 and abs(zb) < 1e-6:

@@ -5,6 +5,7 @@ import pytest
 
 from symphot import fock, multiport
 from symphot.fock import (
+    FockVector,
     PolarizationAmplitude,
     apply_creation,
     product_state,
@@ -14,6 +15,7 @@ from symphot.fock import (
 )
 from symphot.multiport import (
     CascadeSpec,
+    apply_mode_isometry,
     build_cascade,
     distribute,
     postselect_one_per_mode,
@@ -26,7 +28,7 @@ from symphot.symmetric import (
     output_state,
 )
 
-from conftest import random_params
+from conftest import postselect_one_per_mode_scan, random_params
 
 
 def with_output_phases(spec, phases):
@@ -133,6 +135,52 @@ class TestPostselect:
             for _ in range(10):
                 _, p = run_pipeline(random_params(n, rng))
                 assert abs(p - expected) < 1e-10
+
+    @pytest.mark.parametrize("modes", range(7))
+    def test_lookup_matches_scan(self, modes, rng):
+        # doubly occupied and empty modes, photon numbers other than the mode
+        # count, and amplitudes on either side of PRUNE_TOL
+        scales = [1.0, 1e3, 0.9 * fock.PRUNE_TOL, 2 * fock.PRUNE_TOL, 10 * fock.PRUNE_TOL]
+        for _ in range(20):
+            terms = {}
+            for _ in range(int(rng.integers(1, 40))):
+                if rng.random() < 0.5:
+                    key = sum(([(1, 0), (0, 1)][rng.integers(2)] for _ in range(modes)), ())
+                else:
+                    key = tuple(int(x) for x in rng.integers(0, 3, size=2 * modes))
+                terms[key] = rng.choice(scales) * complex(rng.normal(), rng.normal())
+            state = FockVector(modes, terms)
+            if state.norm_squared() == 0.0:
+                with pytest.raises(ValueError):
+                    postselect_one_per_mode(state)
+                continue
+            got, p = postselect_one_per_mode(state)
+            ref, p_ref = postselect_one_per_mode_scan(state)
+            assert got.n == ref.n == modes
+            assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+            assert p == p_ref
+
+
+class TestApplyModeIsometry:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_mixing_isometry_matches_per_term_accumulation(self, n, rng):
+        # one photon per mode, then the full cascade unitary twice: the
+        # expansions of different input keys share output keys
+        state = vacuum(n)
+        for mode, p in enumerate(random_params(n, rng)):
+            state = fock.apply_operator(state, [(p.alpha, ((mode, H),)), (p.beta, ((mode, V),))])
+        u = build_cascade(n).unitary.T
+        for _ in range(2):
+            merged, expanded = {}, 0
+            for key, amp in state.items():
+                terms = multiport._expand_basis_state(key, n, u)
+                expanded += len(terms)
+                for out_key, coeff in terms.items():
+                    merged[out_key] = merged.get(out_key, 0.0) + amp * coeff
+            assert len(merged) < expanded
+            out = apply_mode_isometry(state, u)
+            assert list(out.items()) == list(FockVector(n, merged).items())
+            state = out
 
 
 class TestDickeMonomialMap:
