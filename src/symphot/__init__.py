@@ -58,6 +58,7 @@ from .symmetric import (
     params_from_coefficients,
     project_qubits,
     scaled_coefficients_from_params,
+    synthesize,
 )
 
 __version__ = "0.1.0"

@@ -28,11 +28,10 @@ from .symmetric import (
     SynthesisError,
     dicke_state,
     hamming_weights,
-    majorana_polynomial,
     output_state,
     params_from_coefficients,
     project_qubits,
-    scaled_coefficients_from_params,
+    synthesize,
 )
 
 EXIT_OK = 0
@@ -60,10 +59,6 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _json_default(obj):
-    raise TypeError(f"not serializable: {obj!r}")
-
-
 def _render_json(doc) -> str:
     def walk(v):
         if isinstance(v, float):
@@ -74,7 +69,7 @@ def _render_json(doc) -> str:
             return [walk(x) for x in v]
         return v
 
-    return json.dumps(walk(doc), sort_keys=True, default=_json_default)
+    return json.dumps(walk(doc), sort_keys=True)
 
 
 def _complex_doc(z: complex) -> dict:
@@ -153,7 +148,10 @@ def parse_state_document(doc: dict, warn=lambda msg: None):
             raise InputError(f"params[{i}]: expected 'alpha' and 'beta' fields")
         a = _parse_complex(e["alpha"], f"params[{i}].alpha")
         b = _parse_complex(e["beta"], f"params[{i}].beta")
-        nsq = abs(a) ** 2 + abs(b) ** 2
+        try:
+            nsq = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:
+            raise InputError(f"params[{i}]: |alpha|^2+|beta|^2 overflows, not 1") from None
         if abs(nsq - 1.0) > 1e-6:
             raise InputError(f"params[{i}]: |alpha|^2+|beta|^2 = {nsq:.9g}, not 1")
         if abs(nsq - 1.0) > 1e-9:
@@ -205,20 +203,16 @@ def cmd_synthesize(args) -> int:
     kind, payload = parse_state_document(_read_document(args.input), warnings.append)
     if kind != "coefficients":
         raise InputError("synthesize requires the 'dicke_coefficients' document form")
-    coeffs = payload
-    params = params_from_coefficients(coeffs, tol=args.tol_root)
-    poly = majorana_polynomial(coeffs)
-    roots = poly.roots()
-    label = slocc.classify_params(params, tol=args.tol_cluster)
-    fidelity = coeffs.fidelity(scaled_coefficients_from_params(params))
+    result = synthesize(payload, tol=args.tol_root)
+    label = slocc.classify_params(result.params, tol=args.tol_cluster)
     out = {
-        "N": coeffs.n,
+        "N": payload.n,
         "class": label.name,
         "degeneracy_configuration": list(label.configuration.multiplicities),
         "diversity_degree": label.configuration.diversity_degree,
-        "majorana_roots": [_complex_doc(z) for z in roots],
-        "params": _params_doc(params),
-        "round_trip_fidelity": float(fidelity),
+        "majorana_roots": [_complex_doc(z) for z in result.roots],
+        "params": _params_doc(result.params),
+        "round_trip_fidelity": result.fidelity,
         "warnings": warnings + ([label.warning] if label.warning else []),
     }
     _emit(args, out)

@@ -10,8 +10,9 @@ configurations do NOT certify equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import Sequence
+
+import numpy as np
 
 from .fock import PolarizationAmplitude
 from .symmetric import SymmetricCoefficients, params_from_coefficients
@@ -56,10 +57,11 @@ class ClassLabel:
     warning: str | None = None
 
 
-def projective_distance(a: PolarizationAmplitude, b: PolarizationAmplitude) -> float:
-    """sqrt(1 - |<a|b>|^2); zero iff equal up to a global phase."""
-    ov = abs(a.overlap(b)) ** 2
-    return sqrt(max(0.0, 1.0 - ov))
+def projective_distances(params: Sequence[PolarizationAmplitude]) -> np.ndarray:
+    """(n, n) array of sqrt(1 - |<a|b>|^2); zero iff equal up to a global phase."""
+    alpha, beta = np.array([(p.alpha, p.beta) for p in params]).reshape(-1, 2).T
+    ov = np.abs(alpha.conj()[:, None] * alpha + beta.conj()[:, None] * beta) ** 2
+    return np.sqrt(np.maximum(0.0, 1.0 - ov))
 
 
 def _cluster(params: Sequence[PolarizationAmplitude], tol: float):
@@ -79,16 +81,17 @@ def _cluster(params: Sequence[PolarizationAmplitude], tol: float):
             i = parent[i]
         return i
 
+    dist = projective_distances(params)
     borderline = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = projective_distance(params[i], params[j])
-            if d <= tol:
-                if d >= tol / 10.0:
-                    borderline = True
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    # the pairs within tol, in the row-major order of an i < j pair loop
+    for k in np.flatnonzero(dist <= tol).tolist():
+        i, j = divmod(k, n)
+        if i < j:
+            if dist[i, j] >= tol / 10.0:
+                borderline = True
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
     sizes: dict = {}
     for i in range(n):
         r = find(i)
@@ -103,8 +106,7 @@ def degeneracy_configuration(
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
-    sizes, _ = _cluster(params, tol)
-    return DegeneracyConfiguration(tuple(sizes))
+    return DegeneracyConfiguration(tuple(_cluster(params, tol)[0]))
 
 
 def classify_params(
@@ -113,16 +115,9 @@ def classify_params(
     params = list(params)
     sizes, borderline = _cluster(params, tol)
     config = DegeneracyConfiguration(tuple(sizes))
-    if len(params) == 3:
-        name = _THREE_QUBIT_NAMES[config.multiplicities]
-    else:
-        name = str(config)
-    warning = None
-    if borderline:
-        warning = (
-            "some pairwise distances fall within [tol/10, tol]; "
-            "the clustering may be tolerance-sensitive"
-        )
+    name = _THREE_QUBIT_NAMES[config.multiplicities] if len(params) == 3 else str(config)
+    warning = ("some pairwise distances fall within [tol/10, tol]; "
+               "the clustering may be tolerance-sensitive") if borderline else None
     return ClassLabel(config, name, warning)
 
 

@@ -86,9 +86,6 @@ class QubitStateVector:
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def is_null(self) -> bool:
-        return self.norm_squared() == 0.0
-
     def normalized(self) -> "QubitStateVector":
         nsq = self.norm_squared()
         if nsq == 0.0:
@@ -130,31 +127,33 @@ class MajoranaPolynomial:
         return int(nonzero[-1]) if nonzero.size else 0
 
     def roots(self) -> np.ndarray:
-        """Roots via companion-matrix eigenvalues, Newton-polished."""
+        """Companion-matrix eigenvalues, Newton-polished: up to 4 steps per root, each
+        taken only if it lowers |p|, over all roots still moving in one Horner sweep."""
         k = self.degree
         if k == 0:
             return np.zeros(0, dtype=complex)
         p = self.coefficients[: k + 1]
         # numpy expects highest-order first; uses the balanced companion matrix
-        raw = np.roots(p[::-1])
-        dp = p[1:] * np.arange(1, k + 1)
+        hi_first = p[::-1]
+        dp = (p[1:] * np.arange(1, k + 1))[::-1]
         scale = float(np.max(np.abs(p)))
-        polished = []
-        for z in raw:
-            for _ in range(4):
-                fz = np.polyval(p[::-1], z)
-                if abs(fz) <= 1e-12 * scale:
-                    break
-                dfz = np.polyval(dp[::-1], z)
-                if dfz == 0:
-                    break
-                step = fz / dfz
-                if abs(np.polyval(p[::-1], z - step)) < abs(fz):
-                    z = z - step
-                else:
-                    break
-            polished.append(z)
-        return np.asarray(polished, dtype=complex)
+        z = np.asarray(np.roots(hi_first), dtype=complex)
+        live = np.arange(k)
+        for _ in range(4):
+            if not live.size:
+                break
+            fz = np.polyval(hi_first, z[live])
+            afz = np.abs(fz)
+            go = ~(afz <= 1e-12 * scale)
+            live, fz, afz = live[go], fz[go], afz[go]
+            dfz = np.polyval(dp, z[live])
+            go = dfz != 0
+            live, fz, afz, dfz = live[go], fz[go], afz[go], dfz[go]
+            moved = z[live] - fz / dfz
+            go = np.abs(np.polyval(hi_first, moved)) < afz
+            live = live[go]
+            z[live] = moved[go]
+        return z
 
 
 def dicke_state(n: int, k: int) -> QubitStateVector:
@@ -229,9 +228,16 @@ def majorana_polynomial(coeffs: SymmetricCoefficients) -> MajoranaPolynomial:
     return MajoranaPolynomial(signs * binom * coeffs.c)
 
 
-def params_from_coefficients(
-    coeffs: SymmetricCoefficients, tol: float = SYNTHESIS_TOL
-) -> list[PolarizationAmplitude]:
+@dataclass(frozen=True)
+class Synthesis:
+    """Source parameters, the roots they were built from, and their round-trip fidelity."""
+
+    roots: np.ndarray
+    params: tuple[PolarizationAmplitude, ...]
+    fidelity: float
+
+
+def synthesize(coeffs: SymmetricCoefficients, tol: float = SYNTHESIS_TOL) -> Synthesis:
     """Invert the expansion: find source polarizations producing ``coeffs``.
 
     Each polynomial root z gives (alpha, beta) = (z, 1)/sqrt(1+|z|^2); the
@@ -243,21 +249,25 @@ def params_from_coefficients(
     n = coeffs.n
     # overall scale of c is irrelevant to the roots; normalize for conditioning
     unit = SymmetricCoefficients(n, coeffs.c / np.linalg.norm(coeffs.c))
-    poly = majorana_polynomial(unit)
-    roots = poly.roots()
-    params = []
-    for z in roots:
-        scale = sqrt(1.0 + abs(z) ** 2)
-        params.append(PolarizationAmplitude(z / scale, 1.0 / scale))
-    params.extend(PolarizationAmplitude.horizontal() for _ in range(n - len(roots)))
-
-    residual = 1.0 - unit.fidelity(scaled_coefficients_from_params(params))
+    roots = majorana_polynomial(unit).roots()
+    scales = [sqrt(1.0 + abs(z) ** 2) for z in roots]
+    params = [PolarizationAmplitude(z / s, 1.0 / s) for z, s in zip(roots, scales)]
+    params += [PolarizationAmplitude.horizontal()] * (n - len(roots))
+    fidelity = unit.fidelity(scaled_coefficients_from_params(params))
+    residual = 1.0 - fidelity
     if not (residual <= tol):
         raise SynthesisError(
             f"synthesis round trip failed: residual {residual:.3e} exceeds tol {tol:.3e}",
             residual=residual,
         )
-    return params
+    return Synthesis(roots, tuple(params), fidelity)
+
+
+def params_from_coefficients(
+    coeffs: SymmetricCoefficients, tol: float = SYNTHESIS_TOL
+) -> list[PolarizationAmplitude]:
+    """The source parameters of ``synthesize(coeffs, tol)``."""
+    return list(synthesize(coeffs, tol).params)
 
 
 def project_qubits(

@@ -70,6 +70,67 @@ def postselect_one_per_mode_scan(state):
     return _qubits(n, sel, total)
 
 
+def polished_roots_scalar(poly):
+    """Reference root polish: Newton steps one root at a time.
+
+    Returns what ``MajoranaPolynomial.roots`` returns, bit for bit.
+    """
+    k = poly.degree
+    if k == 0:
+        return np.zeros(0, dtype=complex)
+    p = poly.coefficients[: k + 1]
+    raw = np.roots(p[::-1])
+    dp = p[1:] * np.arange(1, k + 1)
+    scale = float(np.max(np.abs(p)))
+    polished = []
+    for z in raw:
+        for _ in range(4):
+            fz = np.polyval(p[::-1], z)
+            if abs(fz) <= 1e-12 * scale:
+                break
+            dfz = np.polyval(dp[::-1], z)
+            if dfz == 0:
+                break
+            step = fz / dfz
+            if abs(np.polyval(p[::-1], z - step)) < abs(fz):
+                z = z - step
+            else:
+                break
+        polished.append(z)
+    return np.asarray(polished, dtype=complex)
+
+
+def cluster_pairwise(params, tol):
+    """Reference clustering: one scalar projective distance per pair.
+
+    Returns what ``slocc._cluster`` returns: (group sizes, borderline flag).
+    """
+    n = len(params)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    borderline = False
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = sqrt(max(0.0, 1.0 - abs(params[i].overlap(params[j])) ** 2))
+            if d <= tol:
+                if d >= tol / 10.0:
+                    borderline = True
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    sizes: dict = {}
+    for i in range(n):
+        r = find(i)
+        sizes[r] = sizes.get(r, 0) + 1
+    return sorted(sizes.values(), reverse=True), borderline
+
+
 def closed_form_rates(n, nsq, src=SourceRates()):
     """The printed closed-form rate expressions, for cross-checking schemes.rates."""
     r_sps = src.c_sps ** n * nsq * factorial(n) / n ** (2 * n)

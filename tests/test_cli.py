@@ -83,6 +83,16 @@ class TestDocumentParsing:
         code, _ = run_cli(tmp_path, ["simulate"], doc, capsys)
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("magnitude", [1e308, 1e200])
+    @pytest.mark.parametrize("command", ["simulate", "classify", "rates"])
+    def test_param_norm_overflow_is_input_error(self, command, magnitude):
+        # |alpha|^2 does not fit a float; the entry is far from unit norm
+        code, out, err, caught = run_strict([command], {"params": [
+            {"alpha": {"re": magnitude}, "beta": {}}]})
+        assert_clean_exit(code, out, err, caught)
+        assert code == cli.EXIT_INPUT
+        assert err.splitlines() == ["error: params[0]: |alpha|^2+|beta|^2 overflows, not 1"]
+
     def test_slightly_off_param_warns(self, tmp_path, capsys):
         eps = 1e-8
         doc = _param_doc([(math.sqrt(1 + eps), 0)])
@@ -138,6 +148,22 @@ class TestSynthesize:
     def test_requires_coefficient_form(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, ["synthesize"], HV, capsys)
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("partition", [(3, 1), (2, 2), (4, 2, 1, 1), (6, 1, 1)], ids=str)
+    def test_params_built_from_printed_roots(self, partition, tmp_path, capsys, rng):
+        # repeated roots move by eps^(1/m) between solves, so the printed
+        # roots must be the ones the printed params were built from
+        params = [p for m in partition for p in random_params(1, rng) * m]
+        c = coefficients_from_params(params).c
+        code, payload = run_cli(tmp_path, ["synthesize"],
+                                _coeff_doc(len(params), c / np.linalg.norm(c)), capsys)
+        assert code == cli.EXIT_OK
+        roots = [complex(r["re"], r["im"]) for r in payload["majorana_roots"]]
+        assert len(roots) == len(params)
+        for z, p in zip(roots, payload["params"]):
+            scale = math.sqrt(1 + abs(z) ** 2)
+            assert abs(complex(p["alpha"]["re"], p["alpha"]["im"]) - z / scale) <= 1e-10
+            assert abs(complex(p["beta"]["re"], p["beta"]["im"]) - 1 / scale) <= 1e-10
 
 
 class TestSimulate:
@@ -575,13 +601,19 @@ class TestDocumentFuzz:
         assert_clean_exit(*run_strict([command], doc))
 
 
+#: The synthesis entry point each command calls.
+_SYNTHESIS_CALL = {"synthesize": "symphot.cli.synthesize",
+                   "classify": "symphot.cli.params_from_coefficients",
+                   "rates": "symphot.cli.params_from_coefficients"}
+
+
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
     def test_synthesis_error_exits_3(self, command, tmp_path, monkeypatch, capsys):
         def fail(coeffs, tol):
             raise SynthesisError("round trip failed")
 
-        monkeypatch.setattr("symphot.cli.params_from_coefficients", fail)
+        monkeypatch.setattr(_SYNTHESIS_CALL[command], fail)
         code, _ = run_cli(tmp_path, [command], GHZ3)
         captured = capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL
@@ -594,7 +626,7 @@ class TestNumericalFailure:
         def fail(coeffs, tol):
             raise exc()
 
-        monkeypatch.setattr("symphot.cli.params_from_coefficients", fail)
+        monkeypatch.setattr(_SYNTHESIS_CALL[command], fail)
         code, _ = run_cli(tmp_path, [command], GHZ3)
         captured = capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL

@@ -123,7 +123,7 @@ class TestPostselect:
         two_in_one = apply_creation(apply_creation(vacuum(2), 0, H), 0, H)
         state, p = postselect_one_per_mode(two_in_one)
         assert p == 0.0
-        assert state.is_null()
+        assert state.norm_squared() == 0.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -6,19 +6,24 @@ import pytest
 from symphot.fock import PolarizationAmplitude
 from symphot.slocc import (
     DegeneracyConfiguration,
+    _cluster,
     classify_coefficients,
     classify_params,
     degeneracy_configuration,
-    projective_distance,
+    projective_distances,
     same_class,
 )
 from symphot.symmetric import SymmetricCoefficients
 
-from conftest import random_params
+from conftest import cluster_pairwise, random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
 DIAG = PolarizationAmplitude(1 / sqrt(2), 1 / sqrt(2))
+
+
+def projective_distance(a, b):
+    return float(projective_distances([a, b])[0, 1])
 
 
 def _phase_shifted(p, phi):
@@ -103,6 +108,43 @@ class TestDegeneracyConfiguration:
         assert projective_distance(a, c) > 1e-6
         cfg = degeneracy_configuration([a, b, c], tol=1e-6)
         assert cfg.multiplicities == (3,)
+
+
+def _at_distance(p, d, rng):
+    """A polarization at projective distance d from p, with a random phase."""
+    perp = PolarizationAmplitude(-p.beta.conjugate(), p.alpha.conjugate())
+    phase, twist = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+    cos, sin = sqrt(1 - d * d), d
+    return PolarizationAmplitude(phase * (cos * p.alpha + sin * twist * perp.alpha),
+                                 phase * (cos * p.beta + sin * twist * perp.beta))
+
+
+class TestClusterMatchesPairwise:
+    """The (n, n) distance array gives the pairwise loop's sizes and flag."""
+
+    def test_random_sets(self, rng):
+        for n in range(1, 15):
+            for tol in (1e-6, 0.3):
+                params = random_params(n, rng)
+                assert _cluster(params, tol) == cluster_pairwise(params, tol)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    def test_near_degenerate_sets(self, tol, rng):
+        seen_borderline = seen_merge = False
+        for _ in range(40):
+            params = []
+            for base in random_params(int(rng.integers(1, 4)), rng):
+                params.append(base)
+                for _ in range(int(rng.integers(0, 4))):
+                    scale = rng.choice([tol, tol / 10])
+                    params.append(_at_distance(base, scale * rng.uniform(0.8, 1.2), rng))
+            order = rng.permutation(len(params))
+            params = [params[i] for i in order]
+            got = _cluster(params, tol)
+            assert got == cluster_pairwise(params, tol)
+            seen_borderline |= got[1]
+            seen_merge |= len(got[0]) < len(params)
+        assert seen_borderline and seen_merge
 
 
 class TestClassify:

@@ -16,9 +16,10 @@ from symphot.symmetric import (
     params_from_coefficients,
     project_qubits,
     scaled_coefficients_from_params,
+    synthesize,
 )
 
-from conftest import hamming_weight, random_coefficients, random_params
+from conftest import hamming_weight, polished_roots_scalar, random_coefficients, random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
@@ -230,6 +231,69 @@ class TestMajoranaPolynomial:
                 majorana_polynomial(SymmetricCoefficients(n, (2.5 - 1.3j) * c)).roots()
             )
             assert np.max(np.abs(r1 - r2)) < 1e-9
+
+
+def _partition_coefficients(partition, rng):
+    """Product of distinct random polarizations with the given multiplicities."""
+    params = [p for m in partition for p in random_params(1, rng) * m]
+    return coefficients_from_params(params)
+
+
+def _assert_polish_matches_scalar(coeffs):
+    poly = majorana_polynomial(coeffs)
+    got, want = poly.roots(), polished_roots_scalar(poly)
+    assert got.dtype == want.dtype == complex
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRootPolish:
+    """The one-sweep polish returns the per-root loop's roots bit for bit."""
+
+    def test_random(self, rng):
+        for n in range(1, 41):
+            for _ in range(5):
+                _assert_polish_matches_scalar(SymmetricCoefficients(n, random_coefficients(n, rng)))
+
+    @pytest.mark.parametrize("partition", [
+        (2,), (3,), (2, 1), (3, 1), (2, 2), (4, 2, 1, 1), (5, 3), (6, 1, 1),
+        (6, 6), (6, 5, 4), (3, 3, 3, 1), (2, 2, 2, 2, 2),
+    ])
+    def test_repeated_roots(self, partition, rng):
+        for _ in range(5):
+            _assert_polish_matches_scalar(_partition_coefficients(partition, rng))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_roots_at_zero(self, n):
+        # W_N has one root at 0; D_N^k has k; a V photon adds one
+        for k in range(1, n + 1):
+            _assert_polish_matches_scalar(SymmetricCoefficients(n, np.eye(n + 1)[k]))
+        _assert_polish_matches_scalar(coefficients_from_params([VPOL, VPOL] + [HPOL] * n))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 140])
+    def test_ghz(self, n):
+        c = np.zeros(n + 1)
+        c[0] = c[n] = 1 / sqrt(2)
+        _assert_polish_matches_scalar(SymmetricCoefficients(n, c))
+
+
+class TestSynthesizeRecord:
+    def test_fields(self, rng):
+        for n in (1, 3, 7):
+            coeffs = SymmetricCoefficients(n, 3.0 * random_coefficients(n, rng))
+            result = synthesize(coeffs)
+            unit = SymmetricCoefficients(n, coeffs.c / np.linalg.norm(coeffs.c))
+            assert result.roots.tobytes() == majorana_polynomial(unit).roots().tobytes()
+            for z, p in zip(result.roots, result.params):
+                scale = sqrt(1.0 + abs(z) ** 2)
+                assert (p.alpha, p.beta) == (z / scale, 1.0 / scale)
+            assert result.fidelity == unit.fidelity(
+                scaled_coefficients_from_params(result.params))
+            assert params_from_coefficients(coeffs) == list(result.params)
+
+    def test_degree_deficit_is_horizontal(self):
+        result = synthesize(SymmetricCoefficients(3, np.array([0, 1, 0, 0], complex)))
+        assert len(result.roots) == 1
+        assert result.params[1:] == (HPOL, HPOL)
 
 
 class TestSynthesis:
