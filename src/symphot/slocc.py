@@ -84,7 +84,7 @@ def _cluster(params: Sequence[PolarizationAmplitude], tol: float):
     dist = projective_distances(params)
     borderline = False
     # the pairs within tol, in the row-major order of an i < j pair loop
-    for k in np.flatnonzero(dist <= tol).tolist():
+    for k in (dist <= tol).ravel().nonzero()[0].tolist():
         i, j = divmod(k, n)
         if i < j:
             if dist[i, j] >= tol / 10.0:
