@@ -25,7 +25,6 @@ from .schemes import (
     RateReport,
     SchemeRate,
     SourceRates,
-    bell_pair,
     cl_distribution_probability,
     cl_input_state,
     dicke_2n_construction,
@@ -33,7 +32,6 @@ from .schemes import (
     project_onto,
     projector_state,
     rates,
-    sps_combine,
     PSI_MINUS,
     PSI_PLUS,
 )
@@ -42,8 +40,6 @@ from .slocc import (
     DegeneracyConfiguration,
     classify_coefficients,
     classify_params,
-    degeneracy_configuration,
-    same_class,
 )
 from .symmetric import (
     MajoranaPolynomial,

@@ -198,23 +198,28 @@ def _document_params(kind: str, payload, tol_root: float):
     return payload
 
 
+def _class_doc(params, tol_cluster: float, warnings: list) -> dict:
+    """The class keys that ``synthesize`` and ``classify`` share."""
+    label = slocc.classify_params(params, tol=tol_cluster)
+    return {
+        "N": len(params),
+        "class": label.name,
+        "degeneracy_configuration": list(label.configuration.multiplicities),
+        "diversity_degree": label.configuration.diversity_degree,
+        "warnings": warnings + ([label.warning] if label.warning else []),
+    }
+
+
 def cmd_synthesize(args) -> int:
     warnings: list = []
     kind, payload = parse_state_document(_read_document(args.input), warnings.append)
     if kind != "coefficients":
         raise InputError("synthesize requires the 'dicke_coefficients' document form")
     result = synthesize(payload, tol=args.tol_root)
-    label = slocc.classify_params(result.params, tol=args.tol_cluster)
-    out = {
-        "N": payload.n,
-        "class": label.name,
-        "degeneracy_configuration": list(label.configuration.multiplicities),
-        "diversity_degree": label.configuration.diversity_degree,
-        "majorana_roots": [_complex_doc(z) for z in result.roots],
-        "params": _params_doc(result.params),
-        "round_trip_fidelity": result.fidelity,
-        "warnings": warnings + ([label.warning] if label.warning else []),
-    }
+    out = _class_doc(result.params, args.tol_cluster, warnings)
+    out["majorana_roots"] = [_complex_doc(z) for z in result.roots]
+    out["params"] = _params_doc(result.params)
+    out["round_trip_fidelity"] = result.fidelity
     _emit(args, out)
     return EXIT_OK
 
@@ -245,15 +250,7 @@ def cmd_classify(args) -> int:
     warnings: list = []
     kind, payload = parse_state_document(_read_document(args.input), warnings.append)
     params = _document_params(kind, payload, args.tol_root)
-    label = slocc.classify_params(params, tol=args.tol_cluster)
-    out = {
-        "N": len(params),
-        "class": label.name,
-        "degeneracy_configuration": list(label.configuration.multiplicities),
-        "diversity_degree": label.configuration.diversity_degree,
-        "warnings": warnings + ([label.warning] if label.warning else []),
-    }
-    _emit(args, out)
+    _emit(args, _class_doc(params, args.tol_cluster, warnings))
     return EXIT_OK
 
 
@@ -348,10 +345,18 @@ def _check_projection_symmetry(n: int, rng: np.random.Generator) -> float:
     return worst
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InputError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_identity_check(args) -> int:
+    if args.n < 1:
+        raise InputError(f"N must be at least 1, got {args.n}")
     if args.n > args.max_n_joint:
         raise InputError(f"N={args.n} exceeds the two-register guard {args.max_n_joint}")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     if args.which == CHECK_BALANCED:
         deviation = _check_balanced_dicke(args.n)
     elif args.which == CHECK_SIGNED:
@@ -369,7 +374,8 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_self_test(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    """Run a fixed battery: N = 1..6 on one register and N = 1..3 on two."""
+    rng = _rng(args.seed)
     failures = []
     results = {}
 
@@ -379,7 +385,7 @@ def cmd_self_test(args) -> int:
             failures.append(name)
 
     worst = 0.0
-    for n in range(1, min(args.max_n, 6) + 1):
+    for n in range(1, 7):
         for _ in range(10):
             params = _random_params(n, rng)
             _, p = run_pipeline(params)
@@ -387,7 +393,7 @@ def cmd_self_test(args) -> int:
     record("postselection_probability", worst, 1e-10)
 
     worst = 0.0
-    for n in range(2, min(args.max_n, 6) + 1):
+    for n in range(2, 7):
         for _ in range(10):
             c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             coeffs = SymmetricCoefficients(n, c / np.linalg.norm(c))
@@ -405,7 +411,7 @@ def cmd_self_test(args) -> int:
     record("pair_source_identities_n1", worst, 1e-9)
 
     worst = 0.0
-    for n in range(1, min(args.max_n_joint, 3) + 1):
+    for n in range(1, 4):
         worst = max(worst, _check_projection_symmetry(n, rng))
     record("projection_symmetry", worst, 1e-9)
 
@@ -436,16 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symphot",
         description="Symmetric photonic state synthesis, simulation and classification.",
+        allow_abbrev=False,
     )
     parser.add_argument("--tol-root", type=float, default=None,
                         help="round-trip tolerance for synthesis")
     parser.add_argument("--tol-cluster", type=float, default=None,
                         help="projective-distance tolerance for degeneracy clustering")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--max-n", type=int, default=8,
-                        help="guard on the single-register photon number")
     parser.add_argument("--max-n-joint", type=int, default=4,
-                        help="guard on N for two-register (2N-photon) checks")
+                        help="guard on N for identity-check (2N photons)")
     parser.add_argument("--format", choices=("json", "table"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -179,7 +179,7 @@ def apply_creation(state: FockVector, mode: int, pol: int) -> FockVector:
     return apply_operator(state, [(1.0, ((mode, pol),))])
 
 
-def product_state(params: Iterable[PolarizationAmplitude], mode: int = 0, modes: int = 1) -> FockVector:
+def product_state(params: Iterable[PolarizationAmplitude]) -> FockVector:
     """Unnormalized N-photon product state prod_i (alpha_i a_H^dag + beta_i a_V^dag)|0>.
 
     The caller divides by the polarization-dependent normalization; the squared
@@ -188,11 +188,9 @@ def product_state(params: Iterable[PolarizationAmplitude], mode: int = 0, modes:
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
-    if not 0 <= mode < modes:
-        raise ValueError(f"mode {mode} out of range for {modes} modes")
-    state = vacuum(modes)
+    state = vacuum(1)
     for p in params:
-        state = apply_operator(state, [(p.alpha, ((mode, H),)), (p.beta, ((mode, V),))])
+        state = apply_operator(state, [(p.alpha, ((0, H),)), (p.beta, ((0, V),))])
     return state
 
 

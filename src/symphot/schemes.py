@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, PolarizationAmplitude, apply_operator, product_state, vacuum, H, V
+from .fock import FockVector, PolarizationAmplitude, apply_operator, vacuum, H, V
 from .multiport import apply_mode_isometry, build_cascade, postselection_probability
 from .symmetric import normalization_squared
 
@@ -65,28 +65,6 @@ def _check_kind(kind: str) -> int:
     if kind == PSI_PLUS:
         return +1
     raise ValueError(f"kind must be {PSI_MINUS!r} or {PSI_PLUS!r}, got {kind!r}")
-
-
-def sps_combine(params: Sequence[PolarizationAmplitude]) -> tuple[FockVector, float]:
-    """Single-photon sources merged into mode a.
-
-    Returns the normalized N-photon input state and the probability that all
-    N photons end up in mode a: norm_squared(params) / N^N.
-    """
-    params = list(params)
-    if not params:
-        raise ValueError("params must be non-empty")
-    n = len(params)
-    psi = product_state(params)
-    nsq = psi.norm_squared()
-    return psi.scaled(1.0 / sqrt(nsq)), nsq / n ** n
-
-
-def bell_pair(kind: str = PSI_MINUS) -> FockVector:
-    """A Bell pair (a_H^dag b_V^dag -/+ a_V^dag b_H^dag)|0>/sqrt(2) on modes (a, b)."""
-    sign = _check_kind(kind)
-    s = 1.0 / sqrt(2.0)
-    return FockVector(2, {(1, 0, 0, 1): s, (0, 1, 1, 0): sign * s})
 
 
 def ncl_joint_state(n: int, kind: str = PSI_MINUS) -> FockVector:

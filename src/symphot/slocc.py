@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import PolarizationAmplitude
-from .symmetric import SymmetricCoefficients, params_from_coefficients
+from .symmetric import SYNTHESIS_TOL, SymmetricCoefficients, params_from_coefficients
 
 #: Default clustering tolerance on the projective distance between states.
 CLUSTER_TOL = 1e-6
@@ -99,16 +99,6 @@ def _cluster(params: Sequence[PolarizationAmplitude], tol: float):
     return sorted(sizes.values(), reverse=True), borderline
 
 
-def degeneracy_configuration(
-    params: Sequence[PolarizationAmplitude], tol: float = CLUSTER_TOL
-) -> DegeneracyConfiguration:
-    """Cluster the polarization states and return their multiplicity list."""
-    params = list(params)
-    if not params:
-        raise ValueError("params must be non-empty")
-    return DegeneracyConfiguration(tuple(_cluster(params, tol)[0]))
-
-
 def classify_params(
     params: Sequence[PolarizationAmplitude], tol: float = CLUSTER_TOL
 ) -> ClassLabel:
@@ -124,17 +114,8 @@ def classify_params(
 def classify_coefficients(
     coeffs: SymmetricCoefficients,
     tol: float = CLUSTER_TOL,
-    tol_root: float = 1e-9,
+    tol_root: float = SYNTHESIS_TOL,
 ) -> ClassLabel:
     """Synthesize parameters for the coefficients and classify them."""
     params = params_from_coefficients(coeffs, tol=tol_root)
     return classify_params(params, tol=tol)
-
-
-def same_class(a: DegeneracyConfiguration, b: DegeneracyConfiguration) -> bool:
-    """Structural equality of configurations.
-
-    Inequality certifies SLOCC inequivalence; equality is NOT a certificate of
-    equivalence (equal configurations can in principle still split).
-    """
-    return a.multiplicities == b.multiplicities

@@ -35,7 +35,7 @@ from symphot.schemes import (
     projector_state,
     rates,
 )
-from symphot.slocc import classify_params, degeneracy_configuration
+from symphot.slocc import classify_params
 from symphot.symmetric import (
     SymmetricCoefficients,
     coefficients_from_params,
@@ -237,7 +237,7 @@ def test_criterion_7_three_photon_classification():
     stable = True
     rng = np.random.default_rng(11)
     base_params = params_from_coefficients(SymmetricCoefficients(3, c))
-    base_cfg = degeneracy_configuration(base_params)
+    base_cfg = classify_params(base_params).configuration
     for _ in range(20):
         noisy = []
         for p in base_params:
@@ -247,7 +247,7 @@ def test_criterion_7_three_photon_classification():
                     p.alpha * (1 + da), p.beta * (1 + db)
                 )
             )
-        if degeneracy_configuration(noisy) != base_cfg:
+        if classify_params(noisy).configuration != base_cfg:
             stable = False
     passed = table_ok and root_dev < 1e-9 and distinct and stable
     _report(7, "three-photon class table and cube-root synthesis stability",

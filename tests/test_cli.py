@@ -362,14 +362,54 @@ class TestIdentityCheck:
         capsys.readouterr()
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("which", [cli.CHECK_BALANCED, cli.CHECK_SIGNED, cli.CHECK_PERMUTATION])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n, which, capsys):
+        code = cli.main(["identity-check", str(n), which])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
 
 class TestSelfTest:
     def test_passes(self, capsys):
-        code = cli.main(["--max-n", "4", "--max-n-joint", "3", "self-test"])
+        code = cli.main(["--max-n-joint", "3", "self-test"])
         payload = json.loads(capsys.readouterr().out)
         assert code == cli.EXIT_OK
         assert payload["pass"] is True
         assert payload["failed"] == []
+
+    @pytest.mark.parametrize("guard", ["0", "-3"])
+    def test_runs_fixed_battery(self, guard, capsys):
+        # the identity-check guard does not shrink the battery
+        cli.main(["self-test"])
+        full = capsys.readouterr().out
+        code = cli.main(["--max-n-joint", guard, "self-test"])
+        assert capsys.readouterr().out == full
+        assert code == cli.EXIT_OK
+
+    def test_no_single_register_guard(self, capsys):
+        # --max-n is gone, and no prefix of --max-n-joint stands in for it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--max-n", "4", "self-test"])
+        capsys.readouterr()
+        assert exc.value.code == cli.EXIT_INPUT
+
+
+class TestSeed:
+    @pytest.mark.parametrize("argv", [
+        ["self-test"],
+        ["identity-check", "2", cli.CHECK_PERMUTATION],
+    ], ids=["self-test", "identity-check"])
+    def test_negative_seed_rejected(self, argv, capsys):
+        code = cli.main(["--seed", "-1", *argv])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestOutputContract:

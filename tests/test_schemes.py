@@ -18,7 +18,6 @@ from symphot.schemes import (
     PSI_MINUS,
     PSI_PLUS,
     SourceRates,
-    bell_pair,
     cl_distribution_probability,
     cl_input_state,
     dicke_2n_construction,
@@ -26,7 +25,6 @@ from symphot.schemes import (
     project_onto,
     projector_state,
     rates,
-    sps_combine,
 )
 from symphot.multiport import build_cascade, distribute
 from symphot.symmetric import dicke_state, normalization_squared
@@ -41,8 +39,8 @@ def sps_combine_simulated(params):
     """Explicit input-cascade simulation of the single-photon-source merge.
 
     Puts one photon in each input mode, applies the reversed cascade unitary,
-    and projects on all photons sharing mode a.  Slower than ``sps_combine``
-    but independent of the closed-form probability.
+    and projects on all photons sharing mode a.  Independent of the closed-form
+    probability ``rates(...).sps.p_input``.
     """
     n = len(params)
     state = vacuum(n)
@@ -66,51 +64,54 @@ def apply_polarization_phase(state, mode, phase_h, phase_v):
 
 
 class TestSpsCombine:
+    """The single-photon-source merge: closed form in ``rates`` vs simulation."""
+
     def test_orthogonal_pair(self):
-        _, p = sps_combine([HPOL, VPOL])
-        assert p == pytest.approx(0.25)
+        assert rates(2, [HPOL, VPOL]).sps.p_input == pytest.approx(0.25)
 
     def test_identical_pair(self):
-        _, p = sps_combine([HPOL, HPOL])
-        assert p == pytest.approx(0.5)
+        assert rates(2, [HPOL, HPOL]).sps.p_input == pytest.approx(0.5)
 
     def test_single_photon(self):
-        _, p = sps_combine([HPOL])
-        assert p == pytest.approx(1.0)
+        assert rates(1, [HPOL]).sps.p_input == pytest.approx(1.0)
 
     def test_matches_cascade_simulation(self, rng):
         for n in (1, 2, 3):
             params = random_params(n, rng)
-            state, p = sps_combine(params)
+            state = product_state(params).normalized()
+            p = rates(n, params).sps.p_input
             sim_state, sim_p = sps_combine_simulated(params)
             assert sim_p == pytest.approx(p, abs=1e-12)
             assert abs(inner_product(state, sim_state)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBellPair:
+    """One pair source, ``ncl_joint_state(1, kind)``, is a Bell pair on modes (a, b)."""
+
     def test_antisymmetric(self):
-        b = bell_pair(PSI_MINUS)
+        b = ncl_joint_state(1, PSI_MINUS)
         assert b.amplitude((1, 0, 0, 1)) == pytest.approx(1 / sqrt(2))
         assert b.amplitude((0, 1, 1, 0)) == pytest.approx(-1 / sqrt(2))
 
     def test_symmetric(self):
-        b = bell_pair(PSI_PLUS)
+        b = ncl_joint_state(1, PSI_PLUS)
         assert b.amplitude((1, 0, 0, 1)) == pytest.approx(1 / sqrt(2))
         assert b.amplitude((0, 1, 1, 0)) == pytest.approx(1 / sqrt(2))
 
     def test_orthogonal_kinds(self):
-        assert inner_product(bell_pair(PSI_MINUS), bell_pair(PSI_PLUS)) == pytest.approx(0)
+        minus, plus = ncl_joint_state(1, PSI_MINUS), ncl_joint_state(1, PSI_PLUS)
+        assert inner_product(minus, plus) == pytest.approx(0)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
-            bell_pair("phi+")
+            ncl_joint_state(1, "phi+")
 
 
 class TestJointState:
     def test_single_pair_is_bell(self):
-        joint = ncl_joint_state(1)
-        bell = bell_pair(PSI_MINUS)
-        assert abs(inner_product(joint, bell)) == pytest.approx(1.0)
+        s = 1 / sqrt(2)
+        bell = {(1, 0, 0, 1): s, (0, 1, 1, 0): -s}
+        assert dict(ncl_joint_state(1).items()) == pytest.approx(bell)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kind", [PSI_MINUS, PSI_PLUS])
@@ -283,7 +284,7 @@ class TestRates:
         for n in (1, 2, 3):
             params = random_params(n, rng)
             report = rates(n, params, SourceRates())
-            _, p_sps = sps_combine(params)
+            _, p_sps = sps_combine_simulated(params)
             assert report.sps.p_input == pytest.approx(p_sps, abs=1e-12)
             _, p_ncl = project_onto(ncl_joint_state(n), projector_state(params))
             assert report.ncl.p_input == pytest.approx(p_ncl, abs=1e-10)
