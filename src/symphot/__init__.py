@@ -25,7 +25,6 @@ from .schemes import (
     RateReport,
     SchemeRate,
     SourceRates,
-    cl_distribution_probability,
     cl_input_state,
     dicke_2n_construction,
     ncl_joint_state,

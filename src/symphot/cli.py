@@ -2,8 +2,8 @@
 and built-in identity/self checks with machine-readable JSON output.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 invariant
-violation.  Floats are emitted with 12 significant digits and sorted keys so
-outputs are stable byte streams.
+violation.  Output is one JSON document on stdout (12 significant digits,
+sorted keys: stable bytes) or one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -74,21 +74,6 @@ def _render_json(doc) -> str:
 
 def _complex_doc(z: complex) -> dict:
     return {"im": float(z.imag), "re": float(z.real)}
-
-
-def _read_document(path: str) -> dict:
-    try:
-        if path == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        doc = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read input document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("input document must be a JSON object")
-    return doc
 
 
 def _parse_complex(obj, where: str) -> complex:
@@ -167,28 +152,27 @@ def _params_doc(params) -> list:
     ]
 
 
-def _emit(args, doc: dict) -> None:
-    if getattr(args, "format", "json") == "table":
-        _print_table(doc)
-    else:
-        print(_render_json(doc))
-
-
-def _print_table(doc: dict, indent: str = "") -> None:
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _print_table(value, indent + "  ")
-        elif isinstance(value, list):
-            print(f"{indent}{key}: {_render_json(value)}")
-        else:
-            if isinstance(value, float):
-                value = f"{value:.12g}"
-            print(f"{indent}{key}: {value}")
-
-
 # ---------------------------------------------------------------- commands
+#
+# Every command returns (document, exit code); only ``main`` writes.
+
+
+def _document(args) -> tuple[str, object, list]:
+    """The command's input document, read and parsed: (kind, payload, warnings)."""
+    try:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        doc = json.loads(raw)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read input document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError("input document must be a JSON object")
+    warnings: list = []
+    kind, payload = parse_state_document(doc, warnings.append)
+    return kind, payload, warnings
 
 
 def _document_params(kind: str, payload, tol_root: float):
@@ -210,9 +194,8 @@ def _class_doc(params, tol_cluster: float, warnings: list) -> dict:
     }
 
 
-def cmd_synthesize(args) -> int:
-    warnings: list = []
-    kind, payload = parse_state_document(_read_document(args.input), warnings.append)
+def cmd_synthesize(args) -> tuple[dict, int]:
+    kind, payload, warnings = _document(args)
     if kind != "coefficients":
         raise InputError("synthesize requires the 'dicke_coefficients' document form")
     result = synthesize(payload, tol=args.tol_root)
@@ -220,16 +203,13 @@ def cmd_synthesize(args) -> int:
     out["majorana_roots"] = [_complex_doc(z) for z in result.roots]
     out["params"] = _params_doc(result.params)
     out["round_trip_fidelity"] = result.fidelity
-    _emit(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    warnings: list = []
-    kind, payload = parse_state_document(_read_document(args.input), warnings.append)
+def cmd_simulate(args) -> tuple[dict, int]:
+    kind, params, warnings = _document(args)
     if kind != "params":
         raise InputError("simulate requires the 'params' document form")
-    params = payload
     n = len(params)
     state, p_o = run_pipeline(params)
     report = schemes.rates(n, params)
@@ -242,21 +222,17 @@ def cmd_simulate(args) -> int:
         "p_output": p_o,
         "warnings": warnings,
     }
-    _emit(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    warnings: list = []
-    kind, payload = parse_state_document(_read_document(args.input), warnings.append)
+def cmd_classify(args) -> tuple[dict, int]:
+    kind, payload, warnings = _document(args)
     params = _document_params(kind, payload, args.tol_root)
-    _emit(args, _class_doc(params, args.tol_cluster, warnings))
-    return EXIT_OK
+    return _class_doc(params, args.tol_cluster, warnings), EXIT_OK
 
 
-def cmd_rates(args) -> int:
-    warnings: list = []
-    kind, payload = parse_state_document(_read_document(args.input), warnings.append)
+def cmd_rates(args) -> tuple[dict, int]:
+    kind, payload, warnings = _document(args)
     params = _document_params(kind, payload, args.tol_root)
     n = len(params)
     if args.n is not None and args.n != n:
@@ -266,15 +242,8 @@ def cmd_rates(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = schemes.rates(n, params, src)
-    rows = {}
-    for name in ("sps", "ncl", "cl"):
-        entry = getattr(report, name)
-        rows[name] = {
-            "multiplicity_factor": entry.multiplicity_factor,
-            "p_input": entry.p_input,
-            "p_output": entry.p_output,
-            "rate": entry.rate,
-        }
+    # vars(row) is the SchemeRate's own __dict__; _render_json copies it
+    rows = {name: vars(getattr(report, name)) for name in ("sps", "ncl", "cl")}
     ratio_cl_ncl = report.cl.rate / report.ncl.rate if report.ncl.rate else None
     if ratio_cl_ncl is not None and ratio_cl_ncl > 1.0:
         warnings.append(
@@ -292,8 +261,13 @@ def cmd_rates(args) -> int:
         "schemes": rows,
         "warnings": warnings,
     }
-    _emit(args, out)
-    return EXIT_OK
+    return out, EXIT_OK
+
+
+def _pair_qubits(n: int, kind: str) -> QubitStateVector:
+    """The post-selected 2N-qubit state of N pair sources and the multiport."""
+    qubits, _ = postselect_one_per_mode(schemes.dicke_2n_construction(n, kind))
+    return qubits
 
 
 def _check_balanced_dicke(n: int) -> float:
@@ -302,8 +276,7 @@ def _check_balanced_dicke(n: int) -> float:
     The claim is that N psi+ pair sources plus the multiport give D_2N^(N);
     the deviation is zero only at N = 1 (0.17 at N = 2, 0.28 at N = 3).
     """
-    state = schemes.dicke_2n_construction(n, schemes.PSI_PLUS)
-    qubits, _ = postselect_one_per_mode(state)
+    qubits = _pair_qubits(n, schemes.PSI_PLUS)
     target = dicke_state(2 * n, n)
     # the construction is real and positive; compare amplitudes directly
     return float(np.max(np.abs(qubits.amplitudes - target.amplitudes)))
@@ -316,8 +289,7 @@ def _check_signed_schmidt(n: int) -> float:
     (-1)^(weight of the A half) / sqrt(C(2N,N)); the deviation is zero only
     at N = 1 (0.29 at N = 2, 0.33 at N = 3).
     """
-    state = schemes.dicke_2n_construction(n, schemes.PSI_MINUS)
-    qubits, _ = postselect_one_per_mode(state)
+    qubits = _pair_qubits(n, schemes.PSI_MINUS)
     # the claimed amplitudes: (-1)^(weight of the A half) / sqrt(C(2N,N)) on
     # weight-N strings, zero elsewhere; rows of the (2^N, 2^N) view index the
     # A half, columns the B half
@@ -334,8 +306,7 @@ def _check_signed_schmidt(n: int) -> float:
 
 def _check_projection_symmetry(n: int, rng: np.random.Generator) -> float:
     """Projecting either half of the psi+ pair-source state gives the same states."""
-    state = schemes.dicke_2n_construction(n, schemes.PSI_PLUS)
-    qubits, _ = postselect_one_per_mode(state)
+    qubits = _pair_qubits(n, schemes.PSI_PLUS)
     worst = 0.0
     for _ in range(5):
         onto = _random_params(n, rng)
@@ -351,7 +322,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def cmd_identity_check(args) -> int:
+def cmd_identity_check(args) -> tuple[dict, int]:
     if args.n < 1:
         raise InputError(f"N must be at least 1, got {args.n}")
     if args.n > args.max_n_joint:
@@ -364,16 +335,16 @@ def cmd_identity_check(args) -> int:
     else:
         deviation = _check_projection_symmetry(args.n, rng)
     passed = deviation <= 1e-9
-    _emit(args, {
+    out = {
         "N": args.n,
         "check": args.which,
         "max_deviation": float(deviation),
         "pass": bool(passed),
-    })
-    return EXIT_OK if passed else EXIT_INVARIANT
+    }
+    return out, EXIT_OK if passed else EXIT_INVARIANT
 
 
-def cmd_self_test(args) -> int:
+def cmd_self_test(args) -> tuple[dict, int]:
     """Run a fixed battery: N = 1..6 on one register and N = 1..3 on two."""
     rng = _rng(args.seed)
     failures = []
@@ -415,8 +386,8 @@ def cmd_self_test(args) -> int:
         worst = max(worst, _check_projection_symmetry(n, rng))
     record("projection_symmetry", worst, 1e-9)
 
-    _emit(args, {"pass": not failures, "failed": failures, "results": results})
-    return EXIT_OK if not failures else EXIT_INVARIANT
+    out = {"pass": not failures, "failed": failures, "results": results}
+    return out, EXIT_OK if not failures else EXIT_INVARIANT
 
 
 def _random_params(n: int, rng: np.random.Generator):
@@ -432,6 +403,14 @@ def _random_params(n: int, rng: np.random.Generator):
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they take main's one error line."""
+
+    def error(self, message):
+        # an argument echoed back may hold a newline
+        raise InputError(message.replace("\n", "\\n"))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process.
@@ -439,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     The tolerance options default to None here; ``main`` resolves them from
     the environment on every call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symphot",
         description="Symmetric photonic state synthesis, simulation and classification.",
         allow_abbrev=False,
@@ -451,36 +430,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--max-n-joint", type=int, default=4,
                         help="guard on N for identity-check (2N photons)")
-    parser.add_argument("--format", choices=("json", "table"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synthesize", help="target coefficients -> source parameters")
-    p.add_argument("input", help="state document path, or - for stdin")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("simulate", help="source parameters -> multiport output state")
-    p.add_argument("input", help="state document path, or - for stdin")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("classify", help="entanglement class of a state document")
-    p.add_argument("input", help="state document path, or - for stdin")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("rates", help="per-scheme production rates and ratios")
-    p.add_argument("input", help="state document path, or - for stdin")
+    for name, func, help_text in (
+        ("synthesize", cmd_synthesize, "target coefficients -> source parameters"),
+        ("simulate", cmd_simulate, "source parameters -> multiport output state"),
+        ("classify", cmd_classify, "entanglement class of a state document"),
+        ("rates", cmd_rates, "per-scheme production rates and ratios"),
+    ):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("input", help="state document path, or - for stdin")
+        p.set_defaults(func=func)
+    # p is the rates parser, built last
     p.add_argument("--n", type=int, default=None, help="expected photon number (cross-check)")
     p.add_argument("--c-sps", type=float, default=1.0, help="single-photon creation rate")
     p.add_argument("--c-ncl", type=float, default=1.0, help="non-collinear pair creation rate")
     p.add_argument("--c-cl", type=float, default=1.0, help="collinear pair emission rate")
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("identity-check", help="verify a built-in structural identity")
+    p = sub.add_parser("identity-check", help="verify a built-in structural identity",
+                       allow_abbrev=False)
     p.add_argument("n", type=int, help="pair-source count N (2N photons total)")
     p.add_argument("which", choices=(CHECK_SIGNED, CHECK_BALANCED, CHECK_PERMUTATION))
     p.set_defaults(func=cmd_identity_check)
 
-    p = sub.add_parser("self-test", help="run a randomized invariant battery")
+    p = sub.add_parser("self-test", help="run a randomized invariant battery",
+                       allow_abbrev=False)
     p.set_defaults(func=cmd_self_test)
 
     return parser
@@ -497,15 +472,15 @@ def _env_tolerance(name: str, default: float) -> float:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.tol_root is None:
             args.tol_root = _env_tolerance(ENV_TOL_ROOT, SYNTHESIS_TOL)
         if args.tol_cluster is None:
             args.tol_cluster = _env_tolerance(ENV_TOL_CLUSTER, slocc.CLUSTER_TOL)
         if not (args.tol_root > 0 and args.tol_cluster > 0):
             raise InputError("tolerances must be positive")
-        return args.func(args)
+        out, code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -518,6 +493,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
+    print(_render_json(out))
+    return code
 
 
 if __name__ == "__main__":

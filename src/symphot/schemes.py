@@ -173,13 +173,6 @@ def cl_input_state(n: int) -> FockVector:
     return state.scaled(1.0 / factorial(n))
 
 
-def cl_distribution_probability(n: int) -> float:
-    """Probability that the 2N collinear photons split one per mode: (2N)!/(2N)^(2N)."""
-    if n < 1:
-        raise ValueError("emission order must be at least 1")
-    return postselection_probability(2 * n)
-
-
 def rates(
     n: int,
     params: Sequence[PolarizationAmplitude],
@@ -212,7 +205,7 @@ def rates(
     ncl = SchemeRate(ncl_mult, ncl_in, p_o, ncl_mult * ncl_in * p_o)
 
     cl_mult = src.c_cl ** n * factorial(n) ** 2
-    cl_in = cl_distribution_probability(n)
+    cl_in = postselection_probability(2 * n)
     cl_out = nsq / factorial(n + 1)
     cl = SchemeRate(cl_mult, cl_in, cl_out, cl_mult * cl_in * cl_out)
 

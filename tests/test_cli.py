@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ W3 = _coeff_doc(3, [0, 1, 0, 0])
 SEP3 = _coeff_doc(3, [1, 0, 0, 0])
 HV = _param_doc([(1, 0), (0, 1)])
 W_PARAMS = _param_doc([(0, 1), (1, 0), (1, 0)])
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(tmp_path, args, doc=None, capsys=None):
@@ -392,10 +396,12 @@ class TestSelfTest:
 
     def test_no_single_register_guard(self, capsys):
         # --max-n is gone, and no prefix of --max-n-joint stands in for it
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--max-n", "4", "self-test"])
-        capsys.readouterr()
-        assert exc.value.code == cli.EXIT_INPUT
+        code = cli.main(["--max-n", "4", "self-test"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestSeed:
@@ -430,11 +436,42 @@ class TestOutputContract:
         payload = json.loads(out)
         assert list(payload) == sorted(payload)
 
-    def test_table_format(self, tmp_path, capsys):
-        code, _ = run_cli(tmp_path, ["--format", "table", "classify"], HV, capsys=None)
-        out = capsys.readouterr().out
-        assert code == cli.EXIT_OK
-        assert "class:" in out
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--max-n", "4", "self-test"],
+        ["--seed", "x", "self-test"],
+        ["identity-check", "2", "nope"],
+        ["rates", "--c-n", "2", "-"],
+        ["--format", "table", "classify", "-"],
+        ["self-test", "a\nb"],
+    ], ids=["no-subcommand", "unknown-flag", "bad-int", "bad-choice", "flag-prefix",
+            "format-removed", "newline-in-argument"])
+    def test_argv_error_is_one_line(self, argv, monkeypatch, capsys):
+        # a valid document on stdin, so only the arguments can be at fault
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(HV)))
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_argv_error_through_module(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "symphot", "rates", "--c-n", "2", "-"],
+                              input=json.dumps(HV), capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: symphot")
 
     def test_bad_tolerance(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, ["--tol-root", "0", "classify"], HV, capsys)

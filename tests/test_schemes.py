@@ -18,7 +18,6 @@ from symphot.schemes import (
     PSI_MINUS,
     PSI_PLUS,
     SourceRates,
-    cl_distribution_probability,
     cl_input_state,
     dicke_2n_construction,
     ncl_joint_state,
@@ -237,15 +236,16 @@ class TestCollinear:
         assert len(state) == 1
 
     def test_probability_formula(self):
-        assert cl_distribution_probability(1) == pytest.approx(0.5)
-        assert cl_distribution_probability(2) == pytest.approx(24 / 256)
-        assert cl_distribution_probability(3) == pytest.approx(720 / 46656)
+        # the 2N collinear photons split one per mode with (2N)!/(2N)^(2N)
+        assert postselection_probability(2 * 1) == pytest.approx(0.5)
+        assert postselection_probability(2 * 2) == pytest.approx(24 / 256)
+        assert postselection_probability(2 * 3) == pytest.approx(720 / 46656)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_distribution_matches_simulation(self, n):
         out = distribute(cl_input_state(n), build_cascade(2 * n))
         qubits, p = postselect_one_per_mode(out)
-        assert p == pytest.approx(cl_distribution_probability(n), abs=1e-10)
+        assert p == pytest.approx(postselection_probability(2 * n), abs=1e-10)
         assert np.max(
             np.abs(qubits.amplitudes - dicke_state(2 * n, n).amplitudes)
         ) < 1e-10
