@@ -18,6 +18,7 @@ from .multiport import (
     build_cascade,
     distribute,
     postselect_one_per_mode,
+    postselected_state,
     postselection_probability,
     run_pipeline,
 )

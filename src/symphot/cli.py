@@ -20,7 +20,12 @@ import numpy as np
 
 from . import schemes, slocc
 from .fock import PolarizationAmplitude
-from .multiport import postselection_probability, postselect_one_per_mode, run_pipeline
+from .multiport import (
+    postselected_state,
+    postselection_probability,
+    postselect_one_per_mode,
+    run_pipeline,
+)
 from .symmetric import (
     SYNTHESIS_TOL,
     QubitStateVector,
@@ -211,7 +216,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     if kind != "params":
         raise InputError("simulate requires the 'params' document form")
     n = len(params)
-    state, p_o = run_pipeline(params)
+    state, p_o = postselected_state(params)
     report = schemes.rates(n, params)
     out = {
         "N": n,
@@ -480,7 +485,10 @@ def main(argv=None) -> int:
             args.tol_cluster = _env_tolerance(ENV_TOL_CLUSTER, slocc.CLUSTER_TOL)
         if not (args.tol_root > 0 and args.tol_cluster > 0):
             raise InputError("tolerances must be positive")
-        out, code = args.func(args)
+        # a numpy overflow, invalid value or division by zero raises
+        # FloatingPointError rather than printing a RuntimeWarning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out, code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -489,6 +497,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OverflowError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except FloatingPointError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

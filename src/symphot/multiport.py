@@ -15,7 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .fock import FockVector, H, V, PolarizationAmplitude, _create
-from .symmetric import QubitStateVector, normalization_squared
+from .symmetric import (
+    QubitStateVector,
+    normalization_squared,
+    output_state,
+    scaled_coefficients_from_params,
+)
 
 #: Tolerance for the balanced-amplitude check on cascade construction.
 BALANCE_TOL = 1e-12
@@ -178,6 +183,25 @@ def run_pipeline(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVec
         sector = nxt
     sel = sector[(slice(1, 3),) * n].reshape(2 ** n)
     return _qubits(n, sel, normalization_squared(params))
+
+
+def postselected_state(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVector, float]:
+    """The result of ``run_pipeline`` in closed form, from the N+1 coefficients.
+
+    Every one-per-mode output pattern carries the common factor prod_j t_j
+    times the sum over photon orderings, which depends only on how many
+    photons are V; so the post-selected state is sum_k c_k |D_N^(k)> with the
+    phase of prod_j t_j, and the probability is N!/N^N.  The cost is that of
+    the 2^N output vector, O(N 2^N); ``run_pipeline`` is the independent
+    computation from the optics.
+    """
+    params = list(params)
+    n = len(params)
+    state = output_state(scaled_coefficients_from_params(params))
+    # the phase of prod_j t_j, taken factor by factor so that it cannot underflow
+    t = build_cascade(n).amplitudes
+    phase = np.prod(t / np.abs(t))
+    return QubitStateVector(n, phase * state.amplitudes), postselection_probability(n)
 
 
 def postselection_probability(n: int) -> float:

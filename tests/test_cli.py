@@ -49,6 +49,14 @@ W_PARAMS = _param_doc([(0, 1), (1, 0), (1, 0)])
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def run_module(args, doc):
+    """Run ``python -m symphot`` on a document given on stdin."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "symphot", *args], input=json.dumps(doc),
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def run_cli(tmp_path, args, doc=None, capsys=None):
     argv = list(args)
     if doc is not None:
@@ -420,8 +428,6 @@ class TestSeed:
 
 class TestOutputContract:
     def test_deterministic_bytes(self, tmp_path, capsys):
-        _, _ = run_cli(tmp_path, ["synthesize"], GHZ3, capsys)
-        first = capsys.readouterr().out if False else None
         path = tmp_path / "input.json"
         path.write_text(json.dumps(GHZ3))
         cli.main(["synthesize", str(path)])
@@ -457,11 +463,7 @@ class TestOutputContract:
         assert line.startswith("error: ")
 
     def test_argv_error_through_module(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "symphot", "rates", "--c-n", "2", "-"],
-                              input=json.dumps(HV), capture_output=True, text=True, env=env,
-                              timeout=60)
+        proc = run_module(["rates", "--c-n", "2", "-"], HV)
         assert proc.returncode == cli.EXIT_INPUT
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
@@ -683,6 +685,10 @@ _SYNTHESIS_CALL = {"synthesize": "symphot.cli.synthesize",
                    "classify": "symphot.cli.params_from_coefficients",
                    "rates": "symphot.cli.params_from_coefficients"}
 
+#: Each command's main numerical call and a document that reaches it.
+_NUMERICAL_CALL = {**{command: (call, GHZ3) for command, call in _SYNTHESIS_CALL.items()},
+                   "simulate": ("symphot.cli.postselected_state", HV)}
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
@@ -697,14 +703,15 @@ class TestNumericalFailure:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: round trip failed"]
 
-    @pytest.mark.parametrize("exc", [OverflowError, MemoryError])
-    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    @pytest.mark.parametrize("exc", [OverflowError, MemoryError, FloatingPointError])
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates", "simulate"])
     def test_overflow_and_memory_exit_3(self, command, exc, tmp_path, monkeypatch, capsys):
-        def fail(coeffs, tol):
+        def fail(*args, **kwargs):
             raise exc()
 
-        monkeypatch.setattr(_SYNTHESIS_CALL[command], fail)
-        code, _ = run_cli(tmp_path, [command], GHZ3)
+        call, doc = _NUMERICAL_CALL[command]
+        monkeypatch.setattr(call, fail)
+        code, _ = run_cli(tmp_path, [command], doc)
         captured = capsys.readouterr()
         assert code == cli.EXIT_NUMERICAL
         assert captured.out == ""
@@ -721,6 +728,30 @@ class TestNumericalFailure:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "overflow" in line
+
+
+class TestLargeNThroughModule:
+    """Through ``python -m symphot``, where pytest's RuntimeWarning filter does
+    not reach: a large document exits 0 with an empty stderr, or exits 3 with
+    exactly one ``error:`` line and no numpy warning before it."""
+
+    @pytest.mark.parametrize("n", (100, 106, 150, 171, 200, 1000))
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_exit_0_or_one_error_line(self, command, n):
+        rng = np.random.default_rng(n)
+        if command == "rates":
+            doc = _param_doc([(p.alpha, p.beta) for p in random_params(n, rng)])
+        else:
+            doc = _coeff_doc(n, random_coefficients(n, rng))
+        proc = run_module([command, "-"], doc)
+        assert proc.returncode in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+        if proc.returncode == cli.EXIT_OK:
+            assert json.loads(proc.stdout)["N"] == n
+            assert proc.stderr == ""
+        else:
+            assert proc.stdout == ""
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith("error: ")
 
 
 class TestSymmetricSubspaceOnly:

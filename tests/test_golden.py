@@ -55,6 +55,19 @@ def test_golden(case):
     assert _mask_residues(stdout) == _mask_residues(case["stdout"])
 
 
+@pytest.mark.parametrize("case", [case for case in _load() if case["argv"][0] == "simulate"],
+                         ids=lambda case: case["name"])
+def test_simulate_without_sector_loop(case, monkeypatch):
+    # simulate takes the closed form; the sector loop is for self-test only
+    def refuse(params):
+        raise AssertionError("simulate called run_pipeline")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    code, stdout = _run(case)
+    assert code == case["exit"]
+    assert stdout == case["stdout"]
+
+
 if __name__ == "__main__":
     cases = _load()
     for case in cases:

@@ -19,6 +19,7 @@ from symphot.multiport import (
     build_cascade,
     distribute,
     postselect_one_per_mode,
+    postselected_state,
     postselection_probability,
     run_pipeline,
 )
@@ -273,6 +274,48 @@ class TestRunPipeline:
                 simulated, _ = run_pipeline(params)
                 algebraic = output_state(coefficients_from_params(params))
                 assert simulated.fidelity(algebraic) >= 1 - 1e-9
+
+
+def _orthogonal(p):
+    return PolarizationAmplitude(-p.beta.conjugate(), p.alpha.conjugate())
+
+
+def _degenerate_params(n, rng):
+    """Repeated, all-H, all-V and orthogonal-pair parameter sets of size n."""
+    p, q = random_params(2, rng)
+    return {
+        "repeated": [p] * n,
+        "two-repeated": [p] * ((n + 1) // 2) + [q] * (n // 2),
+        "all-H": [HPOL] * n,
+        "all-V": [VPOL] * n,
+        "orthogonal-pairs": [p] * (n // 2) + [_orthogonal(p)] * (n - n // 2),
+        "orthogonal-pairs-HV": [HPOL, VPOL] * (n // 2) + [HPOL] * (n % 2),
+    }
+
+
+class TestPostselectedState:
+    """The closed form reproduces the sector loop of run_pipeline exactly."""
+
+    @staticmethod
+    def _check_against_sector_loop(params):
+        closed, p_closed = postselected_state(params)
+        loop, p_loop = run_pipeline(params)
+        assert np.max(np.abs(closed.amplitudes - loop.amplitudes)) <= 1e-12
+        assert abs(p_closed - p_loop) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_params(self, n, rng):
+        for _ in range(5):
+            self._check_against_sector_loop(random_params(n, rng))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_degenerate_params(self, n, rng):
+        for params in _degenerate_params(n, rng).values():
+            self._check_against_sector_loop(params)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            postselected_state([])
 
 
 def test_output_phases_only_change_global_phase(rng):
