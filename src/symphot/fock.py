@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 #: Polarization labels used as indices into the per-mode occupation pair.
 H = 0
@@ -84,6 +87,27 @@ class FockVector:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "_amp", amp)
 
+    @classmethod
+    def from_arrays(cls, modes: int, keys: Sequence[OccupationState], values) -> "FockVector":
+        """The vector with amplitude ``values[i]`` on the distinct tuple ``keys[i]``.
+
+        Checks key widths and prunes as ``__init__`` does, in C-level passes
+        over the arrays, so each kept key is hashed once.
+        """
+        if modes < 0:
+            raise ValueError("mode count must be non-negative")
+        width = 2 * modes
+        if set(map(len, keys)) - {width}:
+            key = next(k for k in keys if len(k) != width)
+            raise ValueError(f"key {key} does not match {modes} modes")
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (len(keys),):
+            raise ValueError(f"expected {len(keys)} values, got shape {values.shape}")
+        keep = np.abs(values) > PRUNE_TOL
+        out = cls(modes)
+        object.__setattr__(out, "_amp", dict(zip(compress(keys, keep), values[keep].tolist())))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
 
@@ -100,7 +124,11 @@ class FockVector:
         return self._amp.get(tuple(key), 0.0 + 0.0j)
 
     def norm_squared(self) -> float:
-        return sum(a.real * a.real + a.imag * a.imag for a in self._amp.values())
+        amp = np.fromiter(self._amp.values(), dtype=complex, count=len(self._amp))
+        # a real reduction over (re, im) pairs, kept off BLAS: np.vdot's
+        # threaded zdotc was seen to take milliseconds on 14k terms on a
+        # loaded 2-vCPU host
+        return float(np.square(amp.view(float)).sum())
 
     def scaled(self, factor: complex) -> "FockVector":
         return FockVector(self.modes, {k: a * factor for k, a in self._amp.items()})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, sqrt
 from typing import Sequence
 
@@ -65,16 +66,12 @@ def build_cascade(n: int) -> CascadeSpec:
     return CascadeSpec(n, tuple(1.0 / k for k in range(2, n + 1)), t, u)
 
 
-# cache of single-basis-state expansions keyed by (matrix bytes, in-modes, key)
+# isometry plans keyed by (matrix bytes, matrix shape, tuple of input keys)
 _EXPANSION_CACHE: dict = {}
 
 
 def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
     """Expansion of one occupation basis state under a_{i,P}^dag -> sum_j M_ji a_{j,P}^dag."""
-    cache_key = (matrix.tobytes(), matrix.shape, key)
-    hit = _EXPANSION_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
     out_modes = matrix.shape[0]
     norm = 1.0
     for n in key:
@@ -85,30 +82,50 @@ def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
             word = [(cj, (2 * j + pol,)) for j, cj in enumerate(matrix[:, i]) if cj != 0]
             for _ in range(key[2 * i + pol]):
                 terms = _create(terms, word)
-    _EXPANSION_CACHE[cache_key] = terms
     return terms
+
+
+def _isometry_plan(keys: tuple, in_modes: int, matrix: np.ndarray) -> tuple:
+    """The isometry restricted to ``keys``, as a sparse linear map.
+
+    Returns ``(out_keys, rows, cols, coeffs)``: term t adds ``coeffs[t]``
+    times the amplitude of ``keys[cols[t]]`` to ``out_keys[rows[t]]``.  The
+    terms run input key by input key, each in its expansion's order, and
+    ``out_keys`` lists the output keys in order of first appearance.
+    """
+    cache_key = (matrix.tobytes(), matrix.shape, keys)
+    plan = _EXPANSION_CACHE.get(cache_key)
+    if plan is not None:
+        return plan
+    index: dict = {}
+    rows, cols, coeffs = [], [], []
+    for col, key in enumerate(keys):
+        terms = _expand_basis_state(key, in_modes, matrix)
+        rows += [index.setdefault(out_key, len(index)) for out_key in terms]
+        cols += [col] * len(terms)
+        coeffs += terms.values()
+    plan = (tuple(index), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(coeffs, dtype=complex))
+    _EXPANSION_CACHE[cache_key] = plan
+    return plan
 
 
 def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
     """Transform creation operators by an isometry on the spatial modes.
 
     ``matrix`` has shape (out_modes, in_modes) with orthonormal columns; both
-    polarizations see the same spatial transform.
+    polarizations see the same spatial transform.  The linear map from the
+    state's keys is built once per (matrix, key tuple) and cached; applying
+    it adds each output key's terms in input-key order.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] != state.modes:
         raise ValueError("matrix column count must match input mode count")
-    out_modes = matrix.shape[0]
-    merged: dict = {}
-    for key, amp in state.items():
-        terms = _expand_basis_state(key, state.modes, matrix)
-        # one bulk update per input key; keys already present keep their
-        # place and get their old amplitude added back
-        old = {k: merged[k] for k in merged.keys() & terms.keys()}
-        merged.update(zip(terms, map(amp.__mul__, terms.values())))
-        for k, a in old.items():
-            merged[k] = a + merged[k]
-    return FockVector(out_modes, merged)
+    out_keys, rows, cols, coeffs = _isometry_plan(tuple(state.keys()), state.modes, matrix)
+    amps = np.fromiter(state._amp.values(), dtype=complex, count=len(state))
+    out = np.zeros(len(out_keys), dtype=complex)
+    np.add.at(out, rows, amps[cols] * coeffs)
+    return FockVector.from_arrays(matrix.shape[0], out_keys, out)
 
 
 def distribute(state: FockVector, spec: CascadeSpec) -> FockVector:
@@ -129,26 +146,32 @@ def _qubits(n: int, sel: np.ndarray, total: float) -> tuple[QubitStateVector, fl
     return QubitStateVector(n, sel / sqrt(proj)), proj / total
 
 
+@lru_cache(maxsize=16)
+def _one_per_mode_keys(n: int) -> tuple:
+    """The 2^n keys with one photon in each of n modes, (1, 0) for H or (0, 1) for V.
+
+    Extending every key by H then V, mode by mode, lists them in the order of
+    itertools.product: qubit index order, qubit 0 the most significant bit.
+    """
+    keys = [()]
+    for _ in range(n):
+        keys = [key + mode for key in keys for mode in ((1, 0), (0, 1))]
+    return tuple(keys)
+
+
 def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]:
     """Project onto exactly one photon (either polarization) per spatial mode.
 
     Returns the renormalized projection as polarization qubits and the success
     probability relative to the squared norm of ``state``.  The 2^n
-    one-per-mode keys, each mode (1, 0) for H or (0, 1) for V, are looked up
-    rather than found by a scan, so the cost is O(2^n n) whatever the number
-    of terms in ``state``.
+    one-per-mode keys are looked up rather than found by a scan, so the cost
+    is O(2^n) lookups whatever the number of terms in ``state``.
     """
     total = state.norm_squared()
     if total == 0.0:
         raise ValueError("cannot post-select the zero vector")
     n = state.modes
-    # extending every key by H then V, mode by mode, lists the keys in the
-    # order of itertools.product: qubit index order, qubit 0 the most
-    # significant bit
-    keys = [()]
-    for _ in range(n):
-        keys = [key + mode for key in keys for mode in ((1, 0), (0, 1))]
-    sel = np.array([state.amplitude(key) for key in keys], dtype=complex)
+    sel = np.fromiter(map(state.amplitude, _one_per_mode_keys(n)), dtype=complex, count=2 ** n)
     return _qubits(n, sel, total)
 
 

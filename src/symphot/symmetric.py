@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import PolarizationAmplitude
 
-#: Relative threshold below which leading polynomial coefficients count as zero.
+#: Relative threshold below which leading coefficients |c_k| count as zero.
 DEGREE_TOL = 1e-12
 
 #: Default round-trip fidelity tolerance for synthesis.
@@ -120,10 +120,18 @@ class MajoranaPolynomial:
 
     @property
     def degree(self) -> int:
-        """Effective degree K: leading coefficients below tolerance are zero."""
+        """Effective degree K: leading coefficients below tolerance are zero.
+
+        The cutoff is judged on |c_k| = |p_k| / sqrt(C(N,k)), not on |p_k|:
+        the weights grow to about 2^(N/2), so at N = 100 a leading c_k
+        as large as the others has |p_N| / max|p| below 1e-14.
+        """
         p = self.coefficients
-        cutoff = DEGREE_TOL * np.max(np.abs(p))
-        nonzero = np.nonzero(np.abs(p) > cutoff)[0]
+        n = len(p) - 1
+        c = np.abs(p)
+        # sqrt(C(N,k)) as a running product of sqrt((N-k+1)/k), in floats
+        c[1:] /= np.cumprod(np.sqrt(np.arange(n, 0, -1) / np.arange(1, n + 1)))
+        nonzero = np.nonzero(c > DEGREE_TOL * np.max(c))[0]
         return int(nonzero[-1]) if nonzero.size else 0
 
     def roots(self) -> np.ndarray:

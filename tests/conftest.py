@@ -5,7 +5,8 @@ import pytest
 from hypothesis import settings
 
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
-from symphot.multiport import _qubits
+from symphot.fock import FockVector
+from symphot.multiport import _expand_basis_state, _qubits
 from symphot.schemes import SourceRates
 from symphot.symmetric import dicke_state
 
@@ -68,6 +69,25 @@ def postselect_one_per_mode_scan(state):
         if ok:
             sel[idx] = amp
     return _qubits(n, sel, total)
+
+
+def apply_mode_isometry_merge(state, matrix):
+    """Reference isometry: merge each input key's expansion into one dict.
+
+    Returns what ``multiport.apply_mode_isometry`` returns, items and their
+    order included.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    merged: dict = {}
+    for key, amp in state.items():
+        terms = _expand_basis_state(key, state.modes, matrix)
+        # one bulk update per input key; keys already present keep their
+        # place and get their old amplitude added back
+        old = {k: merged[k] for k in merged.keys() & terms.keys()}
+        merged.update(zip(terms, map(amp.__mul__, terms.values())))
+        for k, a in old.items():
+            merged[k] = a + merged[k]
+    return FockVector(matrix.shape[0], merged)
 
 
 def polished_roots_scalar(poly):

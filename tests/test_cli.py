@@ -754,6 +754,32 @@ class TestLargeNThroughModule:
             assert line.startswith("error: ")
 
 
+class TestLargeNSynthesis:
+    """Gaussian Dicke coefficients through ``python -m symphot synthesize`` at
+    the default tolerance.  The degree cutoff is judged on |c_k|, so real
+    leading coefficients are not cut at N = 100 and 150."""
+
+    @pytest.mark.parametrize("n", (100, 150))
+    def test_exit_0(self, n):
+        doc = _coeff_doc(n, random_coefficients(n, np.random.default_rng(n)))
+        proc = run_module(["synthesize", "-"], doc)
+        assert proc.stderr == ""
+        assert proc.returncode == cli.EXIT_OK
+        payload = json.loads(proc.stdout)
+        assert payload["N"] == n
+        assert payload["round_trip_fidelity"] >= 1 - 1e-9
+
+    def test_n200_still_one_error_line(self):
+        # the Newton polish overflows at large |z| (ROADMAP 2, fault 3): exit 3
+        # with one error line until that is fixed
+        doc = _coeff_doc(200, random_coefficients(200, np.random.default_rng(200)))
+        proc = run_module(["synthesize", "-"], doc)
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+
+
 class TestSymmetricSubspaceOnly:
     """synthesize and classify work in the (N+1)-dim Dicke basis."""
 

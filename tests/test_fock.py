@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symphot.fock import (
+    PRUNE_TOL,
     FockVector,
     PolarizationAmplitude,
     apply_creation,
@@ -15,6 +16,8 @@ from symphot.fock import (
     H,
     V,
 )
+
+from symphot.multiport import postselect_one_per_mode
 
 from conftest import random_params
 
@@ -200,3 +203,42 @@ def test_fock_vector_immutable():
     st_ = vacuum(1)
     with pytest.raises(AttributeError):
         st_.modes = 2
+
+
+class TestFromArrays:
+    def test_matches_dict_constructor(self, rng):
+        keys = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0)]
+        values = rng.normal(size=3) + 1j * rng.normal(size=3)
+        got = FockVector.from_arrays(2, keys, values)
+        ref = FockVector(2, dict(zip(keys, values)))
+        assert list(got.items()) == list(ref.items())
+
+    def test_wrong_width_message_matches_init(self):
+        keys = [(1, 0, 0, 1), (1, 0, 1)]
+        with pytest.raises(ValueError) as from_init:
+            FockVector(2, dict.fromkeys(keys, 1.0))
+        with pytest.raises(ValueError) as from_arrays:
+            FockVector.from_arrays(2, keys, np.ones(2))
+        assert str(from_arrays.value) == str(from_init.value) == "key (1, 0, 1) does not match 2 modes"
+
+    def test_value_count_must_match_keys(self):
+        with pytest.raises(ValueError):
+            FockVector.from_arrays(1, [(1, 0), (0, 1)], np.ones(3))
+
+    def test_prunes_below_tolerance(self):
+        keys = [(1, 0), (0, 1), (2, 0)]
+        state = FockVector.from_arrays(1, keys, [0.5, PRUNE_TOL / 2, -PRUNE_TOL * 2j])
+        assert list(state.keys()) == [(1, 0), (2, 0)]
+
+    def test_values_stored_as_python_complex(self):
+        state = FockVector.from_arrays(1, [(1, 0), (0, 1)],
+                                       np.array([0.6, 0.8j], dtype=np.complex128))
+        assert [type(a) for _, a in state.items()] == [complex, complex]
+        assert state.amplitude((0, 1)) == 0.8j
+
+    def test_empty_input_is_the_zero_vector(self):
+        state = FockVector.from_arrays(3, [], np.zeros(0))
+        assert len(state) == 0 and state.modes == 3
+        assert state.norm_squared() == 0.0
+        with pytest.raises(ValueError):
+            postselect_one_per_mode(state)

@@ -3,7 +3,7 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from symphot import fock, multiport
+from symphot import fock, multiport, schemes
 from symphot.fock import (
     FockVector,
     PolarizationAmplitude,
@@ -29,7 +29,7 @@ from symphot.symmetric import (
     output_state,
 )
 
-from conftest import postselect_one_per_mode_scan, random_params
+from conftest import apply_mode_isometry_merge, postselect_one_per_mode_scan, random_params
 
 
 def with_output_phases(spec, phases):
@@ -162,6 +162,14 @@ class TestPostselect:
             assert p == p_ref
 
 
+def assert_same_items(got, ref):
+    """Same keys in the same order, and bit-identical amplitudes."""
+    assert got.modes == ref.modes
+    assert list(got.keys()) == list(ref.keys())
+    assert (np.array([a for _, a in got.items()], dtype=complex).tobytes()
+            == np.array([a for _, a in ref.items()], dtype=complex).tobytes())
+
+
 class TestApplyModeIsometry:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mixing_isometry_matches_per_term_accumulation(self, n, rng):
@@ -181,7 +189,41 @@ class TestApplyModeIsometry:
             assert len(merged) < expanded
             out = apply_mode_isometry(state, u)
             assert list(out.items()) == list(FockVector(n, merged).items())
+            assert_same_items(out, apply_mode_isometry_merge(state, u))
             state = out
+
+
+class TestIsometryPlan:
+    """The cached linear plan against the per-key dict merge it replaced."""
+
+    @pytest.mark.parametrize("kind", [schemes.PSI_PLUS, schemes.PSI_MINUS])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dicke_2n_construction(self, n, kind, monkeypatch):
+        got = schemes.dicke_2n_construction(n, kind)
+        monkeypatch.setattr(schemes, "apply_mode_isometry", apply_mode_isometry_merge)
+        assert_same_items(got, schemes.dicke_2n_construction(n, kind))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_distribute_product_state(self, n, rng):
+        spec = build_cascade(n)
+        for _ in range(3):
+            state = product_state(random_params(n, rng))
+            assert_same_items(distribute(state, spec),
+                              apply_mode_isometry_merge(state, spec.amplitudes.reshape(n, 1)))
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_distribute_collinear_input(self, n):
+        state, spec = schemes.cl_input_state(n), build_cascade(2 * n)
+        assert_same_items(distribute(state, spec),
+                          apply_mode_isometry_merge(state, spec.amplitudes.reshape(2 * n, 1)))
+
+    def test_one_plan_per_matrix_and_key_set(self, rng):
+        spec = build_cascade(3)
+        distribute(product_state(random_params(3, rng)), spec)
+        entries = len(multiport._EXPANSION_CACHE)
+        # new amplitudes on the same keys reuse the plan
+        distribute(product_state(random_params(3, rng)), spec)
+        assert len(multiport._EXPANSION_CACHE) == entries
 
 
 class TestDickeMonomialMap:

@@ -1,0 +1,27 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+_PROBE = """
+import json, sys
+startup = set(sys.modules)
+import symphot.cli
+print(json.dumps(sorted(set(sys.modules) - startup)))
+"""
+
+
+def test_cli_loads_only_stdlib_and_numpy():
+    # the runtime package needs only numpy: importing the CLI in a fresh
+    # interpreter loads nothing else beyond the interpreter's startup set
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    loaded = json.loads(proc.stdout)
+    assert "symphot.cli" in loaded and "numpy" in loaded
+    allowed = set(sys.stdlib_module_names) | {"numpy", "symphot"}
+    assert [m for m in loaded if m.split(".")[0] not in allowed] == []
