@@ -65,20 +65,24 @@ def _sig12(x: float) -> float:
 
 
 def _render_json(doc) -> str:
-    def walk(v):
-        if isinstance(v, float):
-            return _sig12(v)
-        if isinstance(v, dict):
-            return {k: walk(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [walk(x) for x in v]
-        return v
-
-    return json.dumps(walk(doc), sort_keys=True)
+    """The document as one line of JSON; its floats are rounded where it is built."""
+    return json.dumps(doc, sort_keys=True)
 
 
 def _complex_doc(z: complex) -> dict:
-    return {"im": float(z.imag), "re": float(z.real)}
+    return {"im": _sig12(z.imag), "re": _sig12(z.real)}
+
+
+def _complex_docs(values) -> list:
+    """``_complex_doc`` of each entry, rounding each distinct value once.
+
+    Repeats share one dict.  Values are told apart by their bit patterns:
+    0.0 and -0.0 compare equal but print differently.
+    """
+    a = np.ascontiguousarray(values, dtype=complex)
+    keys = list(map(tuple, a.view(np.int64).reshape(-1, 2).tolist()))
+    docs = {key: _complex_doc(z) for key, z in dict(zip(keys, a.tolist())).items()}
+    return list(map(docs.__getitem__, keys))
 
 
 def _parse_complex(obj, where: str) -> complex:
@@ -205,9 +209,9 @@ def cmd_synthesize(args) -> tuple[dict, int]:
         raise InputError("synthesize requires the 'dicke_coefficients' document form")
     result = synthesize(payload, tol=args.tol_root)
     out = _class_doc(result.params, args.tol_cluster, warnings)
-    out["majorana_roots"] = [_complex_doc(z) for z in result.roots]
+    out["majorana_roots"] = _complex_docs(result.roots)
     out["params"] = _params_doc(result.params)
-    out["round_trip_fidelity"] = result.fidelity
+    out["round_trip_fidelity"] = _sig12(result.fidelity)
     return out, EXIT_OK
 
 
@@ -220,11 +224,11 @@ def cmd_simulate(args) -> tuple[dict, int]:
     report = schemes.rates(n, params)
     out = {
         "N": n,
-        "amplitudes": [_complex_doc(z) for z in state.amplitudes],
+        "amplitudes": _complex_docs(state.amplitudes),
         "basis_labels": ["".join(label) for label in itertools.product("HV", repeat=n)],
-        "norm_squared": report.norm_squared,
-        "p_input": {name: getattr(report, name).p_input for name in ("cl", "ncl", "sps")},
-        "p_output": p_o,
+        "norm_squared": _sig12(report.norm_squared),
+        "p_input": {name: _sig12(getattr(report, name).p_input) for name in ("cl", "ncl", "sps")},
+        "p_output": _sig12(p_o),
         "warnings": warnings,
     }
     return out, EXIT_OK
@@ -247,8 +251,8 @@ def cmd_rates(args) -> tuple[dict, int]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = schemes.rates(n, params, src)
-    # vars(row) is the SchemeRate's own __dict__; _render_json copies it
-    rows = {name: vars(getattr(report, name)) for name in ("sps", "ncl", "cl")}
+    rows = {name: {key: _sig12(v) for key, v in vars(getattr(report, name)).items()}
+            for name in ("sps", "ncl", "cl")}
     ratio_cl_ncl = report.cl.rate / report.ncl.rate if report.ncl.rate else None
     if ratio_cl_ncl is not None and ratio_cl_ncl > 1.0:
         warnings.append(
@@ -258,10 +262,10 @@ def cmd_rates(args) -> tuple[dict, int]:
         )
     out = {
         "N": n,
-        "norm_squared": report.norm_squared,
+        "norm_squared": _sig12(report.norm_squared),
         "ratios": {
-            "ncl_over_sps": report.ncl.rate / report.sps.rate if report.sps.rate else None,
-            "cl_over_ncl": ratio_cl_ncl,
+            "ncl_over_sps": _sig12(report.ncl.rate / report.sps.rate) if report.sps.rate else None,
+            "cl_over_ncl": _sig12(ratio_cl_ncl) if report.ncl.rate else None,
         },
         "schemes": rows,
         "warnings": warnings,
@@ -343,7 +347,7 @@ def cmd_identity_check(args) -> tuple[dict, int]:
     out = {
         "N": args.n,
         "check": args.which,
-        "max_deviation": float(deviation),
+        "max_deviation": _sig12(deviation),
         "pass": bool(passed),
     }
     return out, EXIT_OK if passed else EXIT_INVARIANT
@@ -356,7 +360,7 @@ def cmd_self_test(args) -> tuple[dict, int]:
     results = {}
 
     def record(name: str, deviation: float, tol: float):
-        results[name] = {"max_deviation": float(deviation), "tolerance": tol}
+        results[name] = {"max_deviation": _sig12(deviation), "tolerance": _sig12(tol)}
         if not (deviation <= tol):
             failures.append(name)
 

@@ -45,8 +45,9 @@ class CascadeSpec:
         object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
 
 
+@lru_cache(maxsize=64)
 def build_cascade(n: int) -> CascadeSpec:
-    """Compose splitters with reflectivity 1/k (k = 2..n) into one multiport."""
+    """Compose splitters with reflectivity 1/k (k = 2..n) into one multiport; cached, read-only."""
     if n < 1:
         raise ValueError("mode count must be at least 1")
     # the photon entering mode 0 meets BS_n first, so compose U = G_2 ... G_n;
@@ -63,7 +64,10 @@ def build_cascade(n: int) -> CascadeSpec:
     t = u[:, 0].copy()
     if not (np.max(np.abs(np.abs(t) - 1.0 / sqrt(n))) <= BALANCE_TOL):
         raise AssertionError("cascade amplitudes are not balanced")
-    return CascadeSpec(n, tuple(1.0 / k for k in range(2, n + 1)), t, u)
+    spec = CascadeSpec(n, tuple(1.0 / k for k in range(2, n + 1)), t, u)
+    spec.amplitudes.setflags(write=False)
+    spec.unitary.setflags(write=False)
+    return spec
 
 
 # isometry plans keyed by (matrix bytes, matrix shape, tuple of input keys)
@@ -140,9 +144,10 @@ def _qubits(n: int, sel: np.ndarray, total: float) -> tuple[QubitStateVector, fl
 
     A zero projection gives probability 0 and a null (all-zero) state.
     """
-    proj = float(np.vdot(sel, sel).real)
+    state = QubitStateVector(n, sel)
+    proj = state.norm_squared()
     if proj == 0.0:
-        return QubitStateVector(n, sel), 0.0
+        return state, 0.0
     return QubitStateVector(n, sel / sqrt(proj)), proj / total
 
 

@@ -78,13 +78,14 @@ class QubitStateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amp.shape != (2 ** self.n,):
             raise ValueError(f"expected 2^{self.n} amplitudes, got shape {amp.shape}")
         object.__setattr__(self, "amplitudes", amp)
 
     def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        # a real reduction over (re, im) pairs, kept off BLAS (see FockVector)
+        return float(np.square(self.amplitudes.view(float)).sum())
 
     def normalized(self) -> "QubitStateVector":
         nsq = self.norm_squared()
@@ -147,19 +148,21 @@ class MajoranaPolynomial:
         scale = float(np.max(np.abs(p)))
         z = np.asarray(np.roots(hi_first), dtype=complex)
         live = np.arange(k)
+        fz = np.polyval(hi_first, z)
         for _ in range(4):
-            if not live.size:
-                break
-            fz = np.polyval(hi_first, z[live])
             afz = np.abs(fz)
             go = ~(afz <= 1e-12 * scale)
             live, fz, afz = live[go], fz[go], afz[go]
+            if not live.size:
+                break
             dfz = np.polyval(dp, z[live])
             go = dfz != 0
             live, fz, afz, dfz = live[go], fz[go], afz[go], dfz[go]
             moved = z[live] - fz / dfz
-            go = np.abs(np.polyval(hi_first, moved)) < afz
-            live = live[go]
+            # an accepted step's p(moved) is the next pass's p(z)
+            f_moved = np.polyval(hi_first, moved)
+            go = np.abs(f_moved) < afz
+            live, fz = live[go], f_moved[go]
             z[live] = moved[go]
         return z
 

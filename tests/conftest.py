@@ -1,3 +1,4 @@
+import json
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -45,6 +46,26 @@ def pair_source_schmidt_amplitudes(n, sign):
         for k, w in enumerate(weights)
     )
     return amps / sqrt(sum(w * w for w in weights))
+
+
+def round_floats_walk(v):
+    """Reference rounding: a second pass that rounds every float to 12 digits."""
+    if isinstance(v, float):
+        return float(f"{v:.12g}")
+    if isinstance(v, dict):
+        return {k: round_floats_walk(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [round_floats_walk(x) for x in v]
+    return v
+
+
+def render_json_walk(doc):
+    """Reference renderer: the walk above, then sorted-key JSON.
+
+    Returns what ``cli._render_json`` returns for a document whose floats
+    were rounded where it was built.
+    """
+    return json.dumps(round_floats_walk(doc), sort_keys=True)
 
 
 def postselect_one_per_mode_scan(state):

@@ -19,7 +19,7 @@ from symphot.multiport import build_cascade
 from symphot.symmetric import SynthesisError, coefficients_from_params
 
 import oracle
-from conftest import hamming_weight, random_coefficients, random_params
+from conftest import hamming_weight, random_coefficients, random_params, render_json_walk
 
 
 def _coeff_doc(n, values):
@@ -441,6 +441,19 @@ class TestOutputContract:
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert list(payload) == sorted(payload)
+
+    def test_complex_docs_rounds_each_distinct_value_once(self):
+        # 0.0 and -0.0 compare equal but print differently, in either part
+        values = np.array([
+            complex(0.1, 0.2), complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.1, 0.2),
+            complex(-0.0, -0.0), complex(0.0, 0.0), complex(0.0, -0.0), complex(1 / 3, -2 / 3),
+        ])
+        docs = cli._complex_docs(values)
+        assert docs[0] is docs[3] and docs[1] is docs[6]
+        assert len({id(doc) for doc in docs}) == 6
+        unrounded = [{"im": z.imag, "re": z.real} for z in values.tolist()]
+        assert cli._render_json(docs) == render_json_walk(unrounded)
+        assert cli._render_json(docs).count("-0.0") == 5
 
     @pytest.mark.parametrize("argv", [
         [],

@@ -20,6 +20,8 @@ import pytest
 
 from symphot import cli
 
+from conftest import render_json_walk, round_floats_walk
+
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 RESIDUE = 1e-12
 _DEVIATION = re.compile(r'("max_deviation": )([^,}]+)')
@@ -66,6 +68,21 @@ def test_simulate_without_sector_loop(case, monkeypatch):
     code, stdout = _run(case)
     assert code == case["exit"]
     assert stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", _load(), ids=lambda case: case["name"])
+def test_documents_are_built_rounded(case, monkeypatch):
+    # every float is rounded where the document is built: the reference walk
+    # changes nothing, and both renderers give the same bytes
+    docs = []
+    render = cli._render_json
+    monkeypatch.setattr(cli, "_render_json", lambda doc: docs.append(doc) or render(doc))
+    code, _ = _run(case)
+    assert code == case["exit"]
+    assert len(docs) == (code in (cli.EXIT_OK, cli.EXIT_INVARIANT))
+    for doc in docs:
+        assert round_floats_walk(doc) == doc
+        assert render_json_walk(doc) == render(doc)
 
 
 if __name__ == "__main__":

@@ -66,6 +66,35 @@ class TestCascade:
         with pytest.raises(ValueError):
             build_cascade(0)
 
+    def test_cached_and_read_only(self):
+        spec = build_cascade(5)
+        assert build_cascade(5) is spec
+        assert build_cascade.cache_info().maxsize is not None
+        for array in (spec.amplitudes, spec.unitary):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        fresh = build_cascade.__wrapped__(5)
+        assert spec.amplitudes.tobytes() == fresh.amplitudes.tobytes()
+        assert spec.unitary.tobytes() == fresh.unitary.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_cache_keeps_outputs(self, n, rng, monkeypatch):
+        # the cached cascade gives what a fresh one per call gives, bit for bit
+        params = random_params(n, rng)
+
+        def outputs():
+            return (schemes.dicke_2n_construction(n, schemes.PSI_MINUS),
+                    postselected_state(params), run_pipeline(params))
+
+        cached = outputs()
+        for module in (multiport, schemes):
+            monkeypatch.setattr(module, "build_cascade", build_cascade.__wrapped__)
+        fresh = outputs()
+        assert_same_items(cached[0], fresh[0])
+        for (got, p_got), (want, p_want) in zip(cached[1:], fresh[1:]):
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert p_got == p_want
+
 
 class TestDistribute:
     def test_single_photon(self):
