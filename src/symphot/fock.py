@@ -1,9 +1,9 @@
 """Sparse Fock-space algebra for multimode, two-polarization photonic states.
 
 Basis states are occupation-number tuples with two entries per spatial mode,
-``(n_H, n_V)`` pairs ordered by mode index.  Amplitudes live in a sparse dict;
-nothing is ever implicitly normalized, so unnormalized intermediates compose
-correctly.
+``(n_H, n_V)`` pairs ordered by mode index.  A vector stores only its nonzero
+terms, as a key index and an array of amplitudes; nothing is ever implicitly
+normalized, so unnormalized intermediates compose correctly.
 """
 
 from __future__ import annotations
@@ -68,31 +68,44 @@ class FockVector:
     """Sparse complex-amplitude map over multimode occupation-number states.
 
     Immutable after construction.  Keys are flat tuples of length ``2 * modes``
-    holding ``(n_H, n_V)`` per spatial mode.
+    holding ``(n_H, n_V)`` per spatial mode.  The terms are stored as an index,
+    a dict from key to position in term order, and a read-only complex array
+    of values.  An index may be shared between vectors, so nothing writes
+    into one after it is built.
     """
 
-    __slots__ = ("modes", "_amp")
+    __slots__ = ("modes", "_index", "_values")
 
     def __init__(self, modes: int, amplitudes: Mapping[OccupationState, complex] | None = None):
         if modes < 0:
             raise ValueError("mode count must be non-negative")
-        amp = {}
+        index, values = {}, []
         if amplitudes:
             width = 2 * modes
             for key, a in amplitudes.items():
                 if len(key) != width:
                     raise ValueError(f"key {key} does not match {modes} modes")
                 if abs(a) > PRUNE_TOL:
-                    amp[tuple(key)] = complex(a)
+                    index[tuple(key)] = len(values)
+                    values.append(complex(a))
+        if len(index) != len(values):
+            raise ValueError("keys must be distinct as tuples")
+        values = np.fromiter(values, dtype=complex, count=len(values))
+        values.setflags(write=False)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_values", values)
 
     @classmethod
-    def from_arrays(cls, modes: int, keys: Sequence[OccupationState], values) -> "FockVector":
+    def from_arrays(cls, modes: int, keys: Sequence[OccupationState] | dict,
+                    values) -> "FockVector":
         """The vector with amplitude ``values[i]`` on the distinct tuple ``keys[i]``.
 
-        Checks key widths and prunes as ``__init__`` does, in C-level passes
-        over the arrays, so each kept key is hashed once.
+        ``keys`` is a sequence of distinct keys or an index, a dict from key
+        to position 0, 1, ... in iteration order.  Checks key widths and
+        prunes as ``__init__`` does, in C-level passes over the arrays.  An
+        index passed in is shared with the result, and a sequence is hashed
+        into one, unless pruning drops a term.
         """
         if modes < 0:
             raise ValueError("mode count must be non-negative")
@@ -100,44 +113,67 @@ class FockVector:
         if set(map(len, keys)) - {width}:
             key = next(k for k in keys if len(k) != width)
             raise ValueError(f"key {key} does not match {modes} modes")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (len(keys),):
-            raise ValueError(f"expected {len(keys)} values, got shape {values.shape}")
+        if isinstance(keys, dict):
+            if list(keys.values()) != list(range(len(keys))):
+                raise ValueError("an index must map its keys to 0, 1, ... in order")
+            index = keys
+        else:
+            index = dict(zip(keys, range(len(keys))))
+            if len(index) != len(keys):
+                raise ValueError("keys must be distinct")
+        return cls._from_index(modes, index, np.array(values, dtype=complex))
+
+    @classmethod
+    def _from_index(cls, modes: int, index: dict, values: np.ndarray) -> "FockVector":
+        """``from_arrays`` for an index whose key widths are already checked.
+
+        ``values`` becomes the vector's own read-only storage, so the caller
+        passes a complex array that nothing else holds.
+        """
+        if values.shape != (len(index),):
+            raise ValueError(f"expected {len(index)} values, got shape {values.shape}")
         keep = np.abs(values) > PRUNE_TOL
-        out = cls(modes)
-        object.__setattr__(out, "_amp", dict(zip(compress(keys, keep), values[keep].tolist())))
+        kept = np.count_nonzero(keep)
+        if kept < len(index):
+            index = dict(zip(compress(index, keep), range(kept)))
+            values = values[keep]
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "modes", modes)
+        object.__setattr__(out, "_index", index)
+        object.__setattr__(out, "_values", values)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
 
     def items(self):
-        return self._amp.items()
+        return dict(zip(self._index, self._values.tolist())).items()
 
     def keys(self):
-        return self._amp.keys()
+        return self._index.keys()
 
     def __len__(self) -> int:
-        return len(self._amp)
+        return len(self._index)
 
     def amplitude(self, key: OccupationState) -> complex:
-        return self._amp.get(tuple(key), 0.0 + 0.0j)
+        i = self._index.get(tuple(key))
+        return 0.0 + 0.0j if i is None else self._values.item(i)
 
     def norm_squared(self) -> float:
-        amp = np.fromiter(self._amp.values(), dtype=complex, count=len(self._amp))
         # a real reduction over (re, im) pairs, kept off BLAS: np.vdot's
         # threaded zdotc was seen to take milliseconds on 14k terms on a
         # loaded 2-vCPU host
-        return float(np.square(amp.view(float)).sum())
+        return float(np.square(self._values.view(float)).sum())
 
     def scaled(self, factor: complex) -> "FockVector":
-        return FockVector(self.modes, {k: a * factor for k, a in self._amp.items()})
+        return FockVector._from_index(self.modes, self._index, self._values * factor)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.modes != other.modes:
             raise ValueError("mode-count mismatch in FockVector addition")
-        out = dict(self._amp)
-        for k, a in other._amp.items():
+        out = dict(self.items())
+        for k, a in other.items():
             out[k] = out.get(k, 0.0) + a
         return FockVector(self.modes, out)
 
@@ -148,7 +184,7 @@ class FockVector:
         return self.scaled(1.0 / math.sqrt(nsq))
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{k}: {a:.6g}" for k, a in sorted(self._amp.items()))
+        terms = ", ".join(f"{k}: {a:.6g}" for k, a in sorted(self.items()))
         return f"FockVector(modes={self.modes}, {{{terms}}})"
 
 
@@ -161,15 +197,15 @@ def basis_state(modes: int, key: OccupationState, amplitude: complex = 1.0) -> F
     return FockVector(modes, {tuple(key): amplitude})
 
 
-def _create(terms: dict, flat_word) -> dict:
-    """Apply sum_j c_j prod_{i in slots_j} a_i^dag to a raw amplitude map.
+def _create(terms, flat_word) -> dict:
+    """Apply sum_j c_j prod_{i in slots_j} a_i^dag to (key, amplitude) pairs.
 
     ``flat_word`` holds ``(c_j, slots_j)`` monomials whose slots are flat key
     indices 2 * mode + pol; each creation maps |n> to sqrt(n+1)|n+1>.
     Nothing is pruned, so cancellations are left to the caller.
     """
     out: dict = {}
-    for key, amp in terms.items():
+    for key, amp in terms:
         for coeff, slots in flat_word:
             new, term = key, amp * coeff
             for idx in slots:
@@ -199,7 +235,7 @@ def apply_operator(state: FockVector, word: Iterable) -> FockVector:
             slots.append(2 * mode + pol)
         if coeff != 0:
             flat.append((coeff, tuple(slots)))
-    return FockVector(state.modes, _create(state._amp, flat))
+    return FockVector(state.modes, _create(zip(state._index, state._values.tolist()), flat))
 
 
 def apply_creation(state: FockVector, mode: int, pol: int) -> FockVector:

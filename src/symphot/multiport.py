@@ -8,8 +8,10 @@ single-photon amplitude into every output equal to 1/sqrt(N).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, sqrt
 from typing import Sequence
 
@@ -70,8 +72,11 @@ def build_cascade(n: int) -> CascadeSpec:
     return spec
 
 
+#: Isometry plans kept in ``_EXPANSION_CACHE``, least recently used evicted first.
+EXPANSION_CACHE_SIZE = 16
+
 # isometry plans keyed by (matrix bytes, matrix shape, tuple of input keys)
-_EXPANSION_CACHE: dict = {}
+_EXPANSION_CACHE: OrderedDict = OrderedDict()
 
 
 def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
@@ -85,21 +90,24 @@ def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
         for pol in (H, V):
             word = [(cj, (2 * j + pol,)) for j, cj in enumerate(matrix[:, i]) if cj != 0]
             for _ in range(key[2 * i + pol]):
-                terms = _create(terms, word)
+                terms = _create(terms.items(), word)
     return terms
 
 
 def _isometry_plan(keys: tuple, in_modes: int, matrix: np.ndarray) -> tuple:
     """The isometry restricted to ``keys``, as a sparse linear map.
 
-    Returns ``(out_keys, rows, cols, coeffs)``: term t adds ``coeffs[t]``
-    times the amplitude of ``keys[cols[t]]`` to ``out_keys[rows[t]]``.  The
-    terms run input key by input key, each in its expansion's order, and
-    ``out_keys`` lists the output keys in order of first appearance.
+    Returns ``(index, rows, cols, coeffs)``: term t adds ``coeffs[t]`` times
+    the amplitude of ``keys[cols[t]]`` to the output key at position
+    ``rows[t]`` of ``index``.  The terms run input key by input key, each in
+    its expansion's order, and ``index`` maps the output keys to positions in
+    order of first appearance; every output vector shares it.  The last
+    ``EXPANSION_CACHE_SIZE`` plans used are kept.
     """
     cache_key = (matrix.tobytes(), matrix.shape, keys)
     plan = _EXPANSION_CACHE.get(cache_key)
     if plan is not None:
+        _EXPANSION_CACHE.move_to_end(cache_key)
         return plan
     index: dict = {}
     rows, cols, coeffs = [], [], []
@@ -108,9 +116,14 @@ def _isometry_plan(keys: tuple, in_modes: int, matrix: np.ndarray) -> tuple:
         rows += [index.setdefault(out_key, len(index)) for out_key in terms]
         cols += [col] * len(terms)
         coeffs += terms.values()
-    plan = (tuple(index), np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+    width = 2 * matrix.shape[0]
+    if set(map(len, index)) - {width}:
+        raise AssertionError("isometry plan built keys of the wrong width")
+    plan = (index, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(coeffs, dtype=complex))
     _EXPANSION_CACHE[cache_key] = plan
+    if len(_EXPANSION_CACHE) > EXPANSION_CACHE_SIZE:
+        _EXPANSION_CACHE.popitem(last=False)
     return plan
 
 
@@ -120,16 +133,17 @@ def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
     ``matrix`` has shape (out_modes, in_modes) with orthonormal columns; both
     polarizations see the same spatial transform.  The linear map from the
     state's keys is built once per (matrix, key tuple) and cached; applying
-    it adds each output key's terms in input-key order.
+    it adds each output key's terms in input-key order, and the result
+    shares the plan's key index.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] != state.modes:
         raise ValueError("matrix column count must match input mode count")
-    out_keys, rows, cols, coeffs = _isometry_plan(tuple(state.keys()), state.modes, matrix)
-    amps = np.fromiter(state._amp.values(), dtype=complex, count=len(state))
-    out = np.zeros(len(out_keys), dtype=complex)
-    np.add.at(out, rows, amps[cols] * coeffs)
-    return FockVector.from_arrays(matrix.shape[0], out_keys, out)
+    index, rows, cols, coeffs = _isometry_plan(tuple(state.keys()), state.modes, matrix)
+    out = np.zeros(len(index), dtype=complex)
+    np.add.at(out, rows, state._values[cols] * coeffs)
+    # the plan checked its key widths once, when it was built
+    return FockVector._from_index(matrix.shape[0], index, out)
 
 
 def distribute(state: FockVector, spec: CascadeSpec) -> FockVector:
@@ -169,14 +183,19 @@ def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]
 
     Returns the renormalized projection as polarization qubits and the success
     probability relative to the squared norm of ``state``.  The 2^n
-    one-per-mode keys are looked up rather than found by a scan, so the cost
-    is O(2^n) lookups whatever the number of terms in ``state``.
+    one-per-mode keys are looked up in the key index rather than found by a
+    scan, so the cost is O(2^n) lookups whatever the number of terms in
+    ``state``; one gather then reads their amplitudes.
     """
     total = state.norm_squared()
     if total == 0.0:
         raise ValueError("cannot post-select the zero vector")
     n = state.modes
-    sel = np.fromiter(map(state.amplitude, _one_per_mode_keys(n)), dtype=complex, count=2 ** n)
+    pos = np.fromiter(map(state._index.get, _one_per_mode_keys(n), repeat(-1)),
+                      dtype=np.intp, count=2 ** n)
+    # a missing key's -1 reads the last stored term, which is then zeroed
+    sel = state._values[pos]
+    sel[pos < 0] = 0.0
     return _qubits(n, sel, total)
 
 

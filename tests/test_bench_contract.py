@@ -9,7 +9,9 @@ through the same checks, without timing them:
 * the `cold-cli` invocations through `cli.main` instead of fresh processes;
 * the `pairs` plans through the benchmark's own library calls.
 
-They also check that every function `bench/tracer.py` wraps still exists.
+They also check that every function `bench/tracer.py` wraps still exists,
+and that a traced `pairs` pass records the term counts its per-layer
+metrics are computed from.
 """
 
 import importlib
@@ -26,6 +28,9 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (101, 102)
+
+#: Terms of the 2N-mode pair-source state that `dicke_2n_construction` builds.
+DICKE_2N_TERMS = {1: 2, 2: 14, 3: 128, 4: 1310, 5: 14252}
 
 
 def _failures(workload, ops) -> list:
@@ -72,3 +77,21 @@ def test_tracer_target_resolves(target):
     for name in attribute.split("."):
         owner = getattr(owner, name)
     assert callable(owner)
+
+
+def test_traced_pairs_pass_records_term_counts():
+    workload, plans = workloads.Pairs(), docs.pair_plans(SEEDS[0])
+    assert {plan.n for plan in plans} == set(DICKE_2N_TERMS)
+    recorder, failed = tracer.Tracer(), []
+    with recorder.installed():
+        for op_id, plan in enumerate(plans):
+            recorder.op_id = op_id
+            result = workload.run(plan, True, op_id, None)
+            if result.failure:
+                failed.append(result.failure)
+    assert failed == []
+    want = [(op_id, DICKE_2N_TERMS[plan.n]) for op_id, plan in enumerate(plans)]
+    assert [(span[4], span[6]["terms"]) for span in recorder.spans
+            if span[0] == "schemes.dicke_2n_construction"] == want
+    assert [(span[4], span[6]["terms_in"]) for span in recorder.spans
+            if span[0] == "multiport.postselect"] == want

@@ -18,6 +18,7 @@ from symphot.fock import (
 )
 
 from symphot.multiport import postselect_one_per_mode
+from symphot.schemes import PSI_MINUS, PSI_PLUS, dicke_2n_construction
 
 from conftest import random_params
 
@@ -199,19 +200,46 @@ def test_fock_vector_prunes_tiny_amplitudes():
     assert len(st_) == 1
 
 
+def items_bytes(state):
+    """Keys in term order and the amplitudes' bytes, for bit-exact comparison."""
+    keys, amps = zip(*state.items())
+    return keys, np.array(amps, dtype=complex).tobytes()
+
+
 def test_fock_vector_immutable():
     st_ = vacuum(1)
     with pytest.raises(AttributeError):
         st_.modes = 2
+    # isometry outputs share their plan's key index; nothing derived from
+    # them may write into it or into their values
+    for kind in (PSI_PLUS, PSI_MINUS):
+        want = items_bytes(dicke_2n_construction(4, kind))
+        x, y = dicke_2n_construction(4, kind), dicke_2n_construction(4, kind)
+        x.scaled(2.0 - 1.0j)
+        x.normalized()
+        x + y
+        values = np.array([a for _, a in y.items()])
+        values[::2] = 0.0
+        pruned = FockVector.from_arrays(y.modes, y._index, values)
+        assert len(pruned) == len(y) // 2
+        postselect_one_per_mode(x)
+        postselect_one_per_mode(pruned)
+        assert items_bytes(x) == items_bytes(y) == want
+        assert items_bytes(dicke_2n_construction(4, kind)) == want
+        with pytest.raises(ValueError):
+            x._values[0] = 1.0
 
 
 class TestFromArrays:
     def test_matches_dict_constructor(self, rng):
         keys = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0)]
         values = rng.normal(size=3) + 1j * rng.normal(size=3)
-        got = FockVector.from_arrays(2, keys, values)
         ref = FockVector(2, dict(zip(keys, values)))
-        assert list(got.items()) == list(ref.items())
+        index = {key: i for i, key in enumerate(keys)}
+        for given in (keys, index):
+            got = FockVector.from_arrays(2, given, values)
+            assert list(got.items()) == list(ref.items())
+        assert index == {key: i for i, key in enumerate(keys)}
 
     def test_wrong_width_message_matches_init(self):
         keys = [(1, 0, 0, 1), (1, 0, 1)]
@@ -227,8 +255,27 @@ class TestFromArrays:
 
     def test_prunes_below_tolerance(self):
         keys = [(1, 0), (0, 1), (2, 0)]
-        state = FockVector.from_arrays(1, keys, [0.5, PRUNE_TOL / 2, -PRUNE_TOL * 2j])
-        assert list(state.keys()) == [(1, 0), (2, 0)]
+        index = {key: i for i, key in enumerate(keys)}
+        for given in (keys, index):
+            state = FockVector.from_arrays(1, given, [0.5, PRUNE_TOL / 2, -PRUNE_TOL * 2j])
+            assert list(state.keys()) == [(1, 0), (2, 0)]
+            assert state.amplitude((0, 1)) == 0
+            assert state.amplitude((2, 0)) == -PRUNE_TOL * 2j
+        assert index == {(1, 0): 0, (0, 1): 1, (2, 0): 2}
+
+    def test_index_positions_must_run_in_order(self):
+        with pytest.raises(ValueError):
+            FockVector.from_arrays(1, {(1, 0): 1, (0, 1): 0}, np.ones(2))
+
+    def test_keys_must_be_distinct(self):
+        with pytest.raises(ValueError):
+            FockVector.from_arrays(1, [(1, 0), (1, 0)], np.ones(2))
+
+    def test_values_are_copied(self):
+        values = np.array([0.6, 0.8j])
+        state = FockVector.from_arrays(1, [(1, 0), (0, 1)], values)
+        values[0] = 5.0
+        assert state.amplitude((1, 0)) == 0.6
 
     def test_values_stored_as_python_complex(self):
         state = FockVector.from_arrays(1, [(1, 0), (0, 1)],

@@ -254,6 +254,33 @@ class TestIsometryPlan:
         distribute(product_state(random_params(3, rng)), spec)
         assert len(multiport._EXPANSION_CACHE) == entries
 
+    @staticmethod
+    def _plan_key(state, spec):
+        """The `_EXPANSION_CACHE` key of distributing ``state`` over ``spec``."""
+        matrix = spec.amplitudes.reshape(spec.n, 1)
+        return matrix.tobytes(), matrix.shape, tuple(state.keys())
+
+    def test_cache_is_bounded(self, rng):
+        state = product_state(random_params(3, rng))
+        first = with_output_phases(build_cascade(3), rng.uniform(0, 2 * np.pi, 3))
+        want = distribute(state, first)
+        for _ in range(40):
+            distribute(state, with_output_phases(build_cascade(3), rng.uniform(0, 2 * np.pi, 3)))
+            assert len(multiport._EXPANSION_CACHE) <= multiport.EXPANSION_CACHE_SIZE
+        assert self._plan_key(state, first) not in multiport._EXPANSION_CACHE
+        # a plan rebuilt after eviction gives the same vector
+        assert_same_items(distribute(state, first), want)
+        assert len(multiport._EXPANSION_CACHE) <= multiport.EXPANSION_CACHE_SIZE
+
+    def test_recently_used_plan_stays_cached(self, rng):
+        state = product_state(random_params(2, rng))
+        kept = build_cascade(2)
+        distribute(state, kept)
+        for _ in range(2 * multiport.EXPANSION_CACHE_SIZE):
+            distribute(state, with_output_phases(build_cascade(2), rng.uniform(0, 2 * np.pi, 2)))
+            assert self._plan_key(state, kept) in multiport._EXPANSION_CACHE
+            distribute(state, kept)
+
 
 class TestDickeMonomialMap:
     @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in range(n + 1)])
