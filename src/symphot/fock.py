@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -97,36 +97,11 @@ class FockVector:
         object.__setattr__(self, "_values", values)
 
     @classmethod
-    def from_arrays(cls, modes: int, keys: Sequence[OccupationState] | dict,
-                    values) -> "FockVector":
-        """The vector with amplitude ``values[i]`` on the distinct tuple ``keys[i]``.
-
-        ``keys`` is a sequence of distinct keys or an index, a dict from key
-        to position 0, 1, ... in iteration order.  Checks key widths and
-        prunes as ``__init__`` does, in C-level passes over the arrays.  An
-        index passed in is shared with the result, and a sequence is hashed
-        into one, unless pruning drops a term.
-        """
-        if modes < 0:
-            raise ValueError("mode count must be non-negative")
-        width = 2 * modes
-        if set(map(len, keys)) - {width}:
-            key = next(k for k in keys if len(k) != width)
-            raise ValueError(f"key {key} does not match {modes} modes")
-        if isinstance(keys, dict):
-            if list(keys.values()) != list(range(len(keys))):
-                raise ValueError("an index must map its keys to 0, 1, ... in order")
-            index = keys
-        else:
-            index = dict(zip(keys, range(len(keys))))
-            if len(index) != len(keys):
-                raise ValueError("keys must be distinct")
-        return cls._from_index(modes, index, np.array(values, dtype=complex))
-
-    @classmethod
     def _from_index(cls, modes: int, index: dict, values: np.ndarray) -> "FockVector":
-        """``from_arrays`` for an index whose key widths are already checked.
+        """The vector with amplitude ``values[i]`` on the i-th key of ``index``.
 
+        ``index`` maps distinct keys of checked width to positions 0, 1, ...
+        in order; it is shared with the result unless pruning drops a term.
         ``values`` becomes the vector's own read-only storage, so the caller
         passes a complex array that nothing else holds.
         """
@@ -197,45 +172,53 @@ def basis_state(modes: int, key: OccupationState, amplitude: complex = 1.0) -> F
     return FockVector(modes, {tuple(key): amplitude})
 
 
-def _create(terms, flat_word) -> dict:
-    """Apply sum_j c_j prod_{i in slots_j} a_i^dag to (key, amplitude) pairs.
+def _create(terms, flat_words) -> dict:
+    """Apply a product of flat words, first word first, to (key, amplitude) pairs.
 
-    ``flat_word`` holds ``(c_j, slots_j)`` monomials whose slots are flat key
-    indices 2 * mode + pol; each creation maps |n> to sqrt(n+1)|n+1>.
-    Nothing is pruned, so cancellations are left to the caller.
+    Each flat word holds ``(c_j, slots_j)`` monomials standing for
+    sum_j c_j prod_{i in slots_j} a_i^dag, whose slots are flat key indices
+    2 * mode + pol; each creation maps |n> to sqrt(n+1)|n+1>.  Nothing is
+    pruned, so cancellations are left to the caller.
     """
-    out: dict = {}
-    for key, amp in terms:
-        for coeff, slots in flat_word:
-            new, term = key, amp * coeff
-            for idx in slots:
-                n = new[idx] + 1
-                new = new[:idx] + (n,) + new[idx + 1:]
-                term *= math.sqrt(n)
-            out[new] = out.get(new, 0.0) + term
+    out = dict(terms)
+    for flat_word in flat_words:
+        terms, out = out.items(), {}
+        for key, amp in terms:
+            for coeff, slots in flat_word:
+                new, term = key, amp * coeff
+                for idx in slots:
+                    n = new[idx] + 1
+                    new = new[:idx] + (n,) + new[idx + 1:]
+                    term *= math.sqrt(n)
+                out[new] = out.get(new, 0.0) + term
     return out
 
 
-def apply_operator(state: FockVector, word: Iterable) -> FockVector:
-    """Apply sum_j c_j prod_{(mode, pol) in ops_j} a_{mode,pol}^dag to a state.
+def apply_operator(state: FockVector, *words: Iterable) -> FockVector:
+    """Apply a product of creation-operator polynomials to a state, first word first.
 
-    ``word`` is a list of ``(c_j, ((mode, pol), ...))`` monomials, so
-    ``[(alpha, ((0, H),)), (beta, ((0, V),))]`` creates one photon
-    alpha|H> + beta|V> in mode 0.  Monomials with a zero coefficient are
-    skipped after their operators are validated.
+    Each word is a list of ``(c_j, ((mode, pol), ...))`` monomials standing
+    for sum_j c_j prod a_{mode,pol}^dag, so ``[(alpha, ((0, H),)), (beta,
+    ((0, V),))]`` creates one photon alpha|H> + beta|V> in mode 0.
+    Monomials with a zero coefficient are skipped after their operators are
+    validated.  The whole product is expanded in one pass and pruned once,
+    at the end, so an intermediate term below ``PRUNE_TOL`` is kept.
     """
-    flat = []
-    for coeff, ops in word:
-        slots = []
-        for mode, pol in ops:
-            if not 0 <= mode < state.modes:
-                raise ValueError(f"mode {mode} out of range for {state.modes} modes")
-            if pol not in (H, V):
-                raise ValueError(f"polarization must be H (0) or V (1), got {pol}")
-            slots.append(2 * mode + pol)
-        if coeff != 0:
-            flat.append((coeff, tuple(slots)))
-    return FockVector(state.modes, _create(zip(state._index, state._values.tolist()), flat))
+    flat_words = []
+    for word in words:
+        flat = []
+        for coeff, ops in word:
+            slots = []
+            for mode, pol in ops:
+                if not 0 <= mode < state.modes:
+                    raise ValueError(f"mode {mode} out of range for {state.modes} modes")
+                if pol not in (H, V):
+                    raise ValueError(f"polarization must be H (0) or V (1), got {pol}")
+                slots.append(2 * mode + pol)
+            if coeff != 0:
+                flat.append((coeff, tuple(slots)))
+        flat_words.append(flat)
+    return FockVector(state.modes, _create(zip(state._index, state._values.tolist()), flat_words))
 
 
 def apply_creation(state: FockVector, mode: int, pol: int) -> FockVector:
@@ -252,10 +235,8 @@ def product_state(params: Iterable[PolarizationAmplitude]) -> FockVector:
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
-    state = vacuum(1)
-    for p in params:
-        state = apply_operator(state, [(p.alpha, ((0, H),)), (p.beta, ((0, V),))])
-    return state
+    return apply_operator(vacuum(1), *([(p.alpha, ((0, H),)), (p.beta, ((0, V),))]
+                                       for p in params))
 
 
 def inner_product(x: FockVector, y: FockVector) -> complex:

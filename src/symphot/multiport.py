@@ -7,7 +7,6 @@ single-photon amplitude into every output equal to 1/sqrt(N).
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, H, V, PolarizationAmplitude, _create
+from .fock import FockVector, H, V, PolarizationAmplitude, apply_operator, basis_state
 from .symmetric import (
     QubitStateVector,
     normalization_squared,
@@ -79,19 +78,18 @@ EXPANSION_CACHE_SIZE = 16
 _EXPANSION_CACHE: OrderedDict = OrderedDict()
 
 
-def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> dict:
+def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> FockVector:
     """Expansion of one occupation basis state under a_{i,P}^dag -> sum_j M_ji a_{j,P}^dag."""
     out_modes = matrix.shape[0]
     norm = 1.0
-    for n in key:
-        norm *= math.factorial(n)
-    terms = {(0,) * (2 * out_modes): 1.0 / math.sqrt(norm)}
+    words = []
     for i in range(in_modes):
         for pol in (H, V):
-            word = [(cj, (2 * j + pol,)) for j, cj in enumerate(matrix[:, i]) if cj != 0]
-            for _ in range(key[2 * i + pol]):
-                terms = _create(terms.items(), word)
-    return terms
+            count = key[2 * i + pol]
+            norm *= factorial(count)
+            words += [[(cj, ((j, pol),)) for j, cj in enumerate(matrix[:, i]) if cj != 0]] * count
+    start = basis_state(out_modes, (0,) * (2 * out_modes), 1.0 / sqrt(norm))
+    return apply_operator(start, *words)
 
 
 def _isometry_plan(keys: tuple, in_modes: int, matrix: np.ndarray) -> tuple:
@@ -113,12 +111,9 @@ def _isometry_plan(keys: tuple, in_modes: int, matrix: np.ndarray) -> tuple:
     rows, cols, coeffs = [], [], []
     for col, key in enumerate(keys):
         terms = _expand_basis_state(key, in_modes, matrix)
-        rows += [index.setdefault(out_key, len(index)) for out_key in terms]
+        rows += [index.setdefault(out_key, len(index)) for out_key in terms.keys()]
         cols += [col] * len(terms)
-        coeffs += terms.values()
-    width = 2 * matrix.shape[0]
-    if set(map(len, index)) - {width}:
-        raise AssertionError("isometry plan built keys of the wrong width")
+        coeffs += (coeff for _, coeff in terms.items())
     plan = (index, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(coeffs, dtype=complex))
     _EXPANSION_CACHE[cache_key] = plan
@@ -142,7 +137,7 @@ def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
     index, rows, cols, coeffs = _isometry_plan(tuple(state.keys()), state.modes, matrix)
     out = np.zeros(len(index), dtype=complex)
     np.add.at(out, rows, state._values[cols] * coeffs)
-    # the plan checked its key widths once, when it was built
+    # the expansions checked their key widths once, when the plan was built
     return FockVector._from_index(matrix.shape[0], index, out)
 
 

@@ -78,9 +78,8 @@ def ncl_joint_state(n: int, kind: str = PSI_MINUS) -> FockVector:
     if n < 1:
         raise ValueError("need at least one pair source")
     s = 1.0 / sqrt(2.0)
-    state = vacuum(n + 1)
-    for i in range(1, n + 1):
-        state = apply_operator(state, [(s, ((0, H), (i, V))), (sign * s, ((0, V), (i, H)))])
+    state = apply_operator(vacuum(n + 1), *([(s, ((0, H), (i, V))), (sign * s, ((0, V), (i, H)))]
+                                            for i in range(1, n + 1)))
     # state currently = product / 2^{N/2}; rescale to product / sqrt((N+1)!)
     unnormalized_nsq = state.norm_squared() * 2 ** n
     if not (abs(unnormalized_nsq - factorial(n + 1)) <= 1e-9 * factorial(n + 1)):
@@ -99,13 +98,9 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
     """
     sign = _check_kind(kind)
     params = list(params)
-    n = len(params)
-    state = vacuum(n)
-    for i, p in enumerate(params):
-        state = apply_operator(
-            state, [(p.alpha.conjugate(), ((i, V),)), (sign * p.beta.conjugate(), ((i, H),))]
-        )
-    return state
+    return apply_operator(vacuum(len(params)), *(
+        [(p.alpha.conjugate(), ((i, V),)), (sign * p.beta.conjugate(), ((i, H),))]
+        for i, p in enumerate(params)))
 
 
 def project_onto(joint: FockVector, projector: FockVector) -> tuple[FockVector, float]:
@@ -164,9 +159,7 @@ def cl_input_state(n: int) -> FockVector:
     """
     if n < 1:
         raise ValueError("emission order must be at least 1")
-    state = vacuum(1)
-    for _ in range(n):
-        state = apply_operator(state, [(1.0, ((0, H), (0, V)))])
+    state = apply_operator(vacuum(1), *[[(1.0, ((0, H), (0, V)))]] * n)
     nsq = state.norm_squared()
     if not (abs(nsq - factorial(n) ** 2) <= 1e-9 * factorial(n) ** 2):
         raise AssertionError(f"collinear norm check failed: {nsq} != {factorial(n) ** 2}")

@@ -22,6 +22,12 @@ def hamming_weight(index):
     return bin(index).count("1")
 
 
+def items_bytes(state):
+    """Keys in term order and the amplitudes' bytes, for bit-exact comparison."""
+    keys, amps = zip(*state.items())
+    return keys, np.array(amps, dtype=complex).tobytes()
+
+
 def random_coefficients(n, rng):
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     return c / np.linalg.norm(c)
@@ -101,7 +107,7 @@ def apply_mode_isometry_merge(state, matrix):
     matrix = np.asarray(matrix, dtype=complex)
     merged: dict = {}
     for key, amp in state.items():
-        terms = _expand_basis_state(key, state.modes, matrix)
+        terms = dict(_expand_basis_state(key, state.modes, matrix).items())
         # one bulk update per input key; keys already present keep their
         # place and get their old amplitude added back
         old = {k: merged[k] for k in merged.keys() & terms.keys()}

@@ -235,8 +235,7 @@ class TestSimulate:
         def refuse(*args, **kwargs):
             raise AssertionError("Fock kernel called")
 
-        for owner, name in ((fock, "_create"), (multiport, "_create"),
-                            (multiport, "postselect_one_per_mode")):
+        for owner, name in ((fock, "_create"), (multiport, "postselect_one_per_mode")):
             monkeypatch.setattr(owner, name, refuse)
         n = 8
         params = [(p.alpha, p.beta) for p in random_params(n, rng)]

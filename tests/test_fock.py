@@ -20,7 +20,7 @@ from symphot.fock import (
 from symphot.multiport import postselect_one_per_mode
 from symphot.schemes import PSI_MINUS, PSI_PLUS, dicke_2n_construction
 
-from conftest import random_params
+from conftest import items_bytes, random_params
 
 
 def tensor(x, y):
@@ -87,6 +87,16 @@ class TestProductState:
     def test_empty_params(self):
         with pytest.raises(ValueError):
             product_state([])
+
+    def test_keeps_a_tiny_intermediate_term(self):
+        # the first photon's H amplitude, 1e-15, is below PRUNE_TOL, but
+        # seven V photons lift the (1, 7) term to 1e-15 * sqrt(7!); the
+        # product is pruned once, at the end, so the term survives
+        tiny = PolarizationAmplitude.from_unnormalized(1e-15, 1)
+        state = product_state([tiny] + [VPOL] * 7)
+        assert state.amplitude((1, 7)) == pytest.approx(
+            1e-15 * math.sqrt(math.factorial(7)), rel=1e-12, abs=0)
+        assert state.amplitude((0, 8)) == pytest.approx(math.sqrt(math.factorial(8)))
 
     def test_permutation_invariance(self, rng):
         params = random_params(4, rng)
@@ -200,10 +210,34 @@ def test_fock_vector_prunes_tiny_amplitudes():
     assert len(st_) == 1
 
 
-def items_bytes(state):
-    """Keys in term order and the amplitudes' bytes, for bit-exact comparison."""
-    keys, amps = zip(*state.items())
-    return keys, np.array(amps, dtype=complex).tobytes()
+class TestFockVectorInit:
+    def test_wrong_width_message(self):
+        with pytest.raises(ValueError) as err:
+            FockVector(2, dict.fromkeys([(1, 0, 0, 1), (1, 0, 1)], 1.0))
+        assert str(err.value) == "key (1, 0, 1) does not match 2 modes"
+
+    def test_prunes_below_tolerance(self):
+        state = FockVector(1, {(1, 0): 0.5, (0, 1): PRUNE_TOL / 2, (2, 0): -PRUNE_TOL * 2j})
+        assert list(state.keys()) == [(1, 0), (2, 0)]
+        assert state.amplitude((0, 1)) == 0
+        assert state.amplitude((2, 0)) == -PRUNE_TOL * 2j
+
+    def test_values_stored_as_python_complex(self):
+        state = FockVector(1, {(1, 0): np.complex128(0.6), (0, 1): np.complex128(0.8j)})
+        assert [type(a) for _, a in state.items()] == [complex, complex]
+        assert type(state.amplitude((0, 1))) is complex
+        assert state.amplitude((0, 1)) == 0.8j
+
+    def test_empty_input_is_the_zero_vector(self):
+        for state in (FockVector(3), FockVector(3, {})):
+            assert len(state) == 0 and state.modes == 3
+            assert state.norm_squared() == 0.0
+            with pytest.raises(ValueError):
+                postselect_one_per_mode(state)
+
+    def test_value_count_must_match_index(self):
+        with pytest.raises(ValueError):
+            FockVector._from_index(1, {(1, 0): 0, (0, 1): 1}, np.ones(3, dtype=complex))
 
 
 def test_fock_vector_immutable():
@@ -220,7 +254,7 @@ def test_fock_vector_immutable():
         x + y
         values = np.array([a for _, a in y.items()])
         values[::2] = 0.0
-        pruned = FockVector.from_arrays(y.modes, y._index, values)
+        pruned = FockVector._from_index(y.modes, y._index, values)
         assert len(pruned) == len(y) // 2
         postselect_one_per_mode(x)
         postselect_one_per_mode(pruned)
@@ -228,64 +262,3 @@ def test_fock_vector_immutable():
         assert items_bytes(dicke_2n_construction(4, kind)) == want
         with pytest.raises(ValueError):
             x._values[0] = 1.0
-
-
-class TestFromArrays:
-    def test_matches_dict_constructor(self, rng):
-        keys = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0)]
-        values = rng.normal(size=3) + 1j * rng.normal(size=3)
-        ref = FockVector(2, dict(zip(keys, values)))
-        index = {key: i for i, key in enumerate(keys)}
-        for given in (keys, index):
-            got = FockVector.from_arrays(2, given, values)
-            assert list(got.items()) == list(ref.items())
-        assert index == {key: i for i, key in enumerate(keys)}
-
-    def test_wrong_width_message_matches_init(self):
-        keys = [(1, 0, 0, 1), (1, 0, 1)]
-        with pytest.raises(ValueError) as from_init:
-            FockVector(2, dict.fromkeys(keys, 1.0))
-        with pytest.raises(ValueError) as from_arrays:
-            FockVector.from_arrays(2, keys, np.ones(2))
-        assert str(from_arrays.value) == str(from_init.value) == "key (1, 0, 1) does not match 2 modes"
-
-    def test_value_count_must_match_keys(self):
-        with pytest.raises(ValueError):
-            FockVector.from_arrays(1, [(1, 0), (0, 1)], np.ones(3))
-
-    def test_prunes_below_tolerance(self):
-        keys = [(1, 0), (0, 1), (2, 0)]
-        index = {key: i for i, key in enumerate(keys)}
-        for given in (keys, index):
-            state = FockVector.from_arrays(1, given, [0.5, PRUNE_TOL / 2, -PRUNE_TOL * 2j])
-            assert list(state.keys()) == [(1, 0), (2, 0)]
-            assert state.amplitude((0, 1)) == 0
-            assert state.amplitude((2, 0)) == -PRUNE_TOL * 2j
-        assert index == {(1, 0): 0, (0, 1): 1, (2, 0): 2}
-
-    def test_index_positions_must_run_in_order(self):
-        with pytest.raises(ValueError):
-            FockVector.from_arrays(1, {(1, 0): 1, (0, 1): 0}, np.ones(2))
-
-    def test_keys_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            FockVector.from_arrays(1, [(1, 0), (1, 0)], np.ones(2))
-
-    def test_values_are_copied(self):
-        values = np.array([0.6, 0.8j])
-        state = FockVector.from_arrays(1, [(1, 0), (0, 1)], values)
-        values[0] = 5.0
-        assert state.amplitude((1, 0)) == 0.6
-
-    def test_values_stored_as_python_complex(self):
-        state = FockVector.from_arrays(1, [(1, 0), (0, 1)],
-                                       np.array([0.6, 0.8j], dtype=np.complex128))
-        assert [type(a) for _, a in state.items()] == [complex, complex]
-        assert state.amplitude((0, 1)) == 0.8j
-
-    def test_empty_input_is_the_zero_vector(self):
-        state = FockVector.from_arrays(3, [], np.zeros(0))
-        assert len(state) == 0 and state.modes == 3
-        assert state.norm_squared() == 0.0
-        with pytest.raises(ValueError):
-            postselect_one_per_mode(state)

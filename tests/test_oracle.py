@@ -24,7 +24,7 @@ from symphot.schemes import (
 from symphot.symmetric import coefficients_from_params
 
 import oracle
-from conftest import random_params
+from conftest import items_bytes, random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
@@ -41,6 +41,31 @@ def applied(factors, modes):
 def assert_same_state(slow, fast, tol=1e-12):
     keys = set(slow.keys()) | set(fast.keys())
     assert max(abs(slow.amplitude(k) - fast.amplitude(k)) for k in keys) <= tol
+
+
+def random_coeff(rng):
+    return complex(*rng.normal(size=2))
+
+
+class TestOnePassProduct:
+    """``apply_operator(state, *words)`` against the factor-by-factor loop."""
+
+    def word_lists(self, n, rng):
+        """Random ncl, projector, collinear and product word lists, with their mode counts."""
+        ncl = [[(random_coeff(rng), ((0, H), (i, V))), (random_coeff(rng), ((0, V), (i, H)))]
+               for i in range(1, n + 1)]
+        projector = [[(p.alpha.conjugate(), ((i, V),)), (-p.beta.conjugate(), ((i, H),))]
+                     for i, p in enumerate(random_params(n, rng))]
+        collinear = [[(random_coeff(rng), ((0, H), (0, V)))] for _ in range(n)]
+        product = oracle.product_state_factors(random_params(n, rng))
+        return [(ncl, n + 1), (projector, n), (collinear, 1), (product, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_factor_by_factor(self, n, rng):
+        for _ in range(3):
+            for words, modes in self.word_lists(n, rng):
+                one_pass = apply_operator(vacuum(modes), *words)
+                assert items_bytes(one_pass) == items_bytes(applied(words, modes))
 
 
 class TestTupleSum:

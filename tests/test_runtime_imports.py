@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -25,3 +26,16 @@ def test_cli_loads_only_stdlib_and_numpy():
     assert "symphot.cli" in loaded and "numpy" in loaded
     allowed = set(sys.stdlib_module_names) | {"numpy", "symphot"}
     assert [m for m in loaded if m.split(".")[0] not in allowed] == []
+
+
+def test_no_private_name_crosses_modules():
+    # an underscore name stays private to its module: no module of the
+    # package imports one from a sibling
+    crossings = []
+    for path in sorted((Path(SRC) / "symphot").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "symphot"):
+                crossings += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert crossings == []
