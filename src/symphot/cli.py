@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from math import comb, isfinite, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -299,14 +299,12 @@ def _check_signed_schmidt(n: int) -> float:
     at N = 1 (0.29 at N = 2, 0.33 at N = 3).
     """
     qubits = _pair_qubits(n, schemes.PSI_MINUS)
-    # the claimed amplitudes: (-1)^(weight of the A half) / sqrt(C(2N,N)) on
-    # weight-N strings, zero elsewhere; rows of the (2^N, 2^N) view index the
-    # A half, columns the B half
-    w = hamming_weights(n)
-    scale = 1.0 / sqrt(comb(2 * n, n))
-    signed = np.where(w[:, None] % 2, -scale, scale)
-    expected = np.where(w[:, None] + w[None, :] == n, signed, 0.0)
-    expected_state = QubitStateVector(2 * n, expected.reshape(-1))
+    # the claimed amplitudes: D_2N^(N) with the sign flipped where the A half
+    # has odd weight; rows of the (2^N, 2^N) view index the A half, columns
+    # the B half
+    dicke = dicke_state(2 * n, n).amplitudes.reshape(2 ** n, 2 ** n)
+    signed = np.where(hamming_weights(n)[:, None] % 2, -dicke, dicke)
+    expected_state = QubitStateVector(2 * n, signed.reshape(-1))
     # fix the global sign via the largest-magnitude amplitude
     ref = int(np.argmax(np.abs(expected_state.amplitudes)))
     phase = qubits.amplitudes[ref] / expected_state.amplitudes[ref]

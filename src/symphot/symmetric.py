@@ -100,6 +100,11 @@ class QubitStateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
 
+def _sqrt_binomials(n: int) -> np.ndarray:
+    """sqrt(C(n,k)) for k = 0..n, the scale between c_k and the Dicke basis."""
+    return np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+
+
 def hamming_weights(n: int) -> np.ndarray:
     """Number of |V> qubits in each of the 2^n basis indices, in index order."""
     w = np.zeros((), dtype=int)
@@ -128,10 +133,7 @@ class MajoranaPolynomial:
         as large as the others has |p_N| / max|p| below 1e-14.
         """
         p = self.coefficients
-        n = len(p) - 1
-        c = np.abs(p)
-        # sqrt(C(N,k)) as a running product of sqrt((N-k+1)/k), in floats
-        c[1:] /= np.cumprod(np.sqrt(np.arange(n, 0, -1) / np.arange(1, n + 1)))
+        c = np.abs(p) / _sqrt_binomials(len(p) - 1)
         nonzero = np.nonzero(c > DEGREE_TOL * np.max(c))[0]
         return int(nonzero[-1]) if nonzero.size else 0
 
@@ -171,7 +173,7 @@ def dicke_state(n: int, k: int) -> QubitStateVector:
     """Equal superposition of all n-qubit bitstrings with k qubits in |V>."""
     if not 0 <= k <= n:
         raise ValueError(f"excitation number k={k} out of range for n={n}")
-    amp = np.where(hamming_weights(n) == k, 1.0 / sqrt(comb(n, k)), 0.0)
+    amp = np.where(hamming_weights(n) == k, 1.0 / _sqrt_binomials(n)[k], 0.0)
     return QubitStateVector(n, amp)
 
 
@@ -199,11 +201,8 @@ def coefficients_from_params(params: Sequence[PolarizationAmplitude]) -> Symmetr
     """
     f = _product_polynomial(params)
     n = len(f) - 1
-    c = np.array(
-        [sqrt(comb(n, k)) * factorial(k) * factorial(n - k) * f[k] for k in range(n + 1)],
-        dtype=complex,
-    )
-    return SymmetricCoefficients(n, c)
+    fact = np.array([float(factorial(k)) for k in range(n + 1)])
+    return SymmetricCoefficients(n, _sqrt_binomials(n) * fact * fact[::-1] * f)
 
 
 def scaled_coefficients_from_params(
@@ -216,7 +215,7 @@ def scaled_coefficients_from_params(
     """
     f = _product_polynomial(params)
     n = len(f) - 1
-    return SymmetricCoefficients(n, f / np.sqrt([float(comb(n, k)) for k in range(n + 1)]))
+    return SymmetricCoefficients(n, f / _sqrt_binomials(n))
 
 
 def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
@@ -228,15 +227,14 @@ def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
 def output_state(coeffs: SymmetricCoefficients) -> QubitStateVector:
     """Renormalized Dicke superposition sum_k c_k |D_N^(k)>."""
     n = coeffs.n
-    per_string = np.array([coeffs.c[k] / sqrt(comb(n, k)) for k in range(n + 1)])
+    per_string = coeffs.c / _sqrt_binomials(n)
     return QubitStateVector(n, per_string[hamming_weights(n)]).normalized()
 
 
 def majorana_polynomial(coeffs: SymmetricCoefficients) -> MajoranaPolynomial:
     n = coeffs.n
-    signs = np.array([(-1) ** k for k in range(n + 1)])
-    binom = np.array([sqrt(comb(n, k)) for k in range(n + 1)])
-    return MajoranaPolynomial(signs * binom * coeffs.c)
+    signs = np.where(np.arange(n + 1) % 2, -1, 1)
+    return MajoranaPolynomial(signs * _sqrt_binomials(n) * coeffs.c)
 
 
 @dataclass(frozen=True)

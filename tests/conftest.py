@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from symphot import symmetric
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
 from symphot.fock import FockVector
 from symphot.multiport import _expand_basis_state, _qubits
 from symphot.schemes import SourceRates
-from symphot.symmetric import dicke_state
+from symphot.symmetric import SymmetricCoefficients, dicke_state
 
 # the same examples on every run, and no per-example deadline: wall times on a
 # loaded machine vary too much for one
@@ -31,6 +32,17 @@ def items_bytes(state):
 def random_coefficients(n, rng):
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     return c / np.linalg.norm(c)
+
+
+def perturb_round_trip(monkeypatch):
+    """Make synthesis re-expand its params with a 1e-3 error in every c'_k."""
+    exact = symmetric.scaled_coefficients_from_params
+
+    def perturbed(params):
+        coeffs = exact(params)
+        return SymmetricCoefficients(coeffs.n, coeffs.c + 1e-3 * np.max(np.abs(coeffs.c)))
+
+    monkeypatch.setattr(symmetric, "scaled_coefficients_from_params", perturbed)
 
 
 def pair_source_schmidt_amplitudes(n, sign):

@@ -19,7 +19,13 @@ from symphot.multiport import build_cascade
 from symphot.symmetric import SynthesisError, coefficients_from_params
 
 import oracle
-from conftest import hamming_weight, random_coefficients, random_params, render_json_walk
+from conftest import (
+    hamming_weight,
+    perturb_round_trip,
+    random_coefficients,
+    random_params,
+    render_json_walk,
+)
 
 
 def _coeff_doc(n, values):
@@ -111,6 +117,18 @@ class TestDocumentParsing:
         code, payload = run_cli(tmp_path, ["simulate"], doc, capsys)
         assert code == cli.EXIT_OK
         assert any("renormalized" in w for w in payload["warnings"])
+
+    def test_param_without_alpha_beta(self):
+        code, out, err, caught = run_strict(["classify"], {"params": [{"alpha": {"re": 1.0}}]})
+        assert_clean_exit(code, out, err, caught)
+        assert code == cli.EXIT_INPUT
+        assert err.splitlines() == ["error: params[0]: expected 'alpha' and 'beta' fields"]
+
+    def test_document_not_an_object(self):
+        code, out, err, caught = run_strict(["classify"], [GHZ3])
+        assert_clean_exit(code, out, err, caught)
+        assert code == cli.EXIT_INPUT
+        assert err.splitlines() == ["error: input document must be a JSON object"]
 
     def test_not_json(self, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -400,6 +418,17 @@ class TestSelfTest:
         code = cli.main(["--max-n-joint", guard, "self-test"])
         assert capsys.readouterr().out == full
         assert code == cli.EXIT_OK
+
+    def test_failure_exits_4(self, monkeypatch, capsys):
+        exact = cli.postselection_probability
+        monkeypatch.setattr(cli, "postselection_probability", lambda n: exact(n) + 1e-6)
+        code = cli.main(["self-test"])
+        out, err = capsys.readouterr()
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert code == cli.EXIT_INVARIANT
+        assert err == ""
+        assert payload["pass"] is False
+        assert payload["failed"] == ["postselection_probability"]
 
     def test_no_single_register_guard(self, capsys):
         # --max-n is gone, and no prefix of --max-n-joint stands in for it
@@ -714,6 +743,16 @@ class TestNumericalFailure:
         assert code == cli.EXIT_NUMERICAL
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: round trip failed"]
+
+    @pytest.mark.parametrize("command", ["synthesize", "classify"])
+    def test_failed_round_trip_exits_3(self, command, monkeypatch):
+        # the real guard in symmetric.synthesize, not a faked exception
+        perturb_round_trip(monkeypatch)
+        code, out, err, caught = run_strict([command], GHZ3)
+        assert_clean_exit(code, out, err, caught)
+        assert code == cli.EXIT_NUMERICAL
+        (line,) = err.splitlines()
+        assert line.startswith("error: synthesis round trip failed: residual ")
 
     @pytest.mark.parametrize("exc", [OverflowError, MemoryError, FloatingPointError])
     @pytest.mark.parametrize("command", ["synthesize", "classify", "rates", "simulate"])

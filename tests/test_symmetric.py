@@ -5,8 +5,11 @@ import pytest
 
 from symphot.fock import FockVector, PolarizationAmplitude, product_state
 from symphot.symmetric import (
+    SYNTHESIS_TOL,
     QubitStateVector,
     SymmetricCoefficients,
+    SynthesisError,
+    _sqrt_binomials,
     coefficients_from_params,
     dicke_state,
     hamming_weights,
@@ -19,10 +22,27 @@ from symphot.symmetric import (
     synthesize,
 )
 
-from conftest import hamming_weight, polished_roots_scalar, random_coefficients, random_params
+from conftest import (
+    hamming_weight,
+    perturb_round_trip,
+    polished_roots_scalar,
+    random_coefficients,
+    random_params,
+)
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
+
+
+def test_sqrt_binomials_match_math_sqrt_comb():
+    # bit for bit: every Dicke-basis conversion reads these scales; the exact
+    # C(n,k) come from Pascal's rule, which is faster than one comb per entry
+    row = [1]
+    for n in range(1, 1001):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        want = np.array([sqrt(c) for c in row])
+        assert _sqrt_binomials(n).tobytes() == want.tobytes()
+    assert row == [comb(1000, k) for k in range(1001)]
 
 
 class TestDickeState:
@@ -173,6 +193,11 @@ class TestCoefficientFidelity:
         with pytest.raises(ValueError):
             _dicke_vector([1, 0]).fidelity(_dicke_vector([1, 0, 0]))
 
+    def test_tiny_vector_does_not_underflow(self, rng):
+        # squared, 1e-200 underflows to 0; without the divide-by-max this is 0/0
+        a = _dicke_vector(1e-200 * random_coefficients(3, rng))
+        assert a.fidelity(a) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestOutputState:
     def test_all_horizontal(self):
@@ -294,6 +319,21 @@ class TestSynthesizeRecord:
         result = synthesize(SymmetricCoefficients(3, np.array([0, 1, 0, 0], complex)))
         assert len(result.roots) == 1
         assert result.params[1:] == (HPOL, HPOL)
+
+    @pytest.mark.parametrize("eps, degree", [(1e-11, 4), (1e-13, 3)])
+    def test_degree_cutoff(self, eps, degree):
+        # a leading |c_N| counts as zero below DEGREE_TOL = 1e-12 of the largest
+        result = synthesize(SymmetricCoefficients(4, np.array([1, 0.5, 0.3, 0.2, eps], complex)))
+        assert len(result.roots) == degree
+
+
+class TestRoundTripGuard:
+    def test_failed_round_trip_raises(self, monkeypatch, rng):
+        perturb_round_trip(monkeypatch)
+        for n in (1, 3, 7):
+            with pytest.raises(SynthesisError, match="synthesis round trip failed") as info:
+                synthesize(SymmetricCoefficients(n, random_coefficients(n, rng)))
+            assert info.value.residual > SYNTHESIS_TOL
 
 
 class TestSynthesis:
