@@ -44,6 +44,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
+#: ``simulate`` writes its 2^N amplitudes and labels in blocks of 2^_BLOCK_QUBITS.
+_BLOCK_QUBITS = 12
+
 ENV_TOL_ROOT = "SYMPHOT_TOL_ROOT"
 ENV_TOL_CLUSTER = "SYMPHOT_TOL_CLUSTER"
 
@@ -163,7 +166,8 @@ def _params_doc(params) -> list:
 
 # ---------------------------------------------------------------- commands
 #
-# Every command returns (document, exit code); only ``main`` writes.
+# Every command returns (document, exit code); only ``main`` writes.  The
+# document is a dict, or for ``simulate`` the pieces of its JSON text.
 
 
 def _document(args) -> tuple[str, object, list]:
@@ -215,7 +219,7 @@ def cmd_synthesize(args) -> tuple[dict, int]:
     return out, EXIT_OK
 
 
-def cmd_simulate(args) -> tuple[dict, int]:
+def cmd_simulate(args) -> tuple[object, int]:
     kind, params, warnings = _document(args)
     if kind != "params":
         raise InputError("simulate requires the 'params' document form")
@@ -224,14 +228,58 @@ def cmd_simulate(args) -> tuple[dict, int]:
     report = schemes.rates(n, params)
     out = {
         "N": n,
-        "amplitudes": _complex_docs(state.amplitudes),
-        "basis_labels": ["".join(label) for label in itertools.product("HV", repeat=n)],
+        # the symmetric state's amplitude of weight k, first met at index 2^k - 1
+        "amplitudes": _complex_docs(state.amplitudes[(1 << np.arange(n + 1)) - 1]),
+        "basis_labels": [],
         "norm_squared": _sig12(report.norm_squared),
         "p_input": {name: _sig12(getattr(report, name).p_input) for name in ("cl", "ncl", "sps")},
         "p_output": _sig12(p_o),
         "warnings": warnings,
     }
-    return out, EXIT_OK
+    return _spliced(n, _render_json(out)), EXIT_OK
+
+
+def _basis_labels(n: int) -> list:
+    """The labels of the 2^n basis indices in index order, qubit 0 first."""
+    labels = [""]
+    for _ in range(n):
+        labels = ["H" + s for s in labels] + ["V" + s for s in labels]
+    return labels
+
+
+def _separated(pieces):
+    """The pieces with the ", " that JSON writes between list items."""
+    pieces = iter(pieces)
+    yield next(pieces)
+    for piece in pieces:
+        yield ", "
+        yield piece
+
+
+def _spliced(n: int, text: str):
+    """The simulate document in pieces, from ``text``, its rendering with one
+    amplitude per Hamming weight and no basis labels.
+
+    Both 2^n-entry arrays are written in blocks of 2^m entries.  The leading
+    n - m qubits of block j have the label ``prefixes[j]`` and the weight
+    ``offsets[j]``, so the block's amplitudes are one of n - m + 1 strings,
+    joined here, and its labels are joined when the block is written.
+    """
+    head, _, rest = text.partition(', "amplitudes": [{')
+    by_weight, _, tail = rest.partition('}], "basis_labels": []')
+    entries = ["{" + s + "}" for s in by_weight.split("}, {")]
+    m = min(n, _BLOCK_QUBITS)
+    weights = hamming_weights(m).tolist()
+    blocks = [", ".join([entries[w + h] for h in weights]) for w in range(n - m + 1)]
+    offsets = hamming_weights(n - m).tolist()
+    prefixes, suffixes = _basis_labels(n - m), _basis_labels(m)
+    return itertools.chain(
+        (head, ', "amplitudes": ['),
+        _separated(blocks[w] for w in offsets),
+        ('], "basis_labels": [',),
+        _separated('"' + p + ('", "' + p).join(suffixes) + '"' for p in prefixes),
+        ("]", tail),
+    )
 
 
 def cmd_classify(args) -> tuple[dict, int]:
@@ -506,7 +554,11 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(_render_json(out))
+    # a command's numeric work is done; a dict is rendered here, and the
+    # simulate document arrives in pieces
+    for chunk in (_render_json(out),) if isinstance(out, dict) else out:
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
     return code
 
 

@@ -10,7 +10,8 @@ source polarizations; degree deficiencies map to |H> photons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from functools import lru_cache
+from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -100,17 +101,31 @@ class QubitStateVector:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)))
 
 
+@lru_cache(maxsize=64)
 def _sqrt_binomials(n: int) -> np.ndarray:
-    """sqrt(C(n,k)) for k = 0..n, the scale between c_k and the Dicke basis."""
-    return np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+    """sqrt(C(n,k)) for k = 0..n, the scale between c_k and the Dicke basis; cached, read-only.
+
+    The exact C(n,k+1) = C(n,k)(n-k)/(k+1) rounds to the same float as
+    ``comb(n, k + 1)``, in one product per entry instead of a fresh binomial.
+    """
+    row, c = [], 1
+    for k in range(n + 1):
+        row.append(float(c))
+        c = c * (n - k) // (k + 1)
+    out = np.sqrt(row)
+    out.setflags(write=False)
+    return out
 
 
+@lru_cache(maxsize=32)
 def hamming_weights(n: int) -> np.ndarray:
-    """Number of |V> qubits in each of the 2^n basis indices, in index order."""
+    """Number of |V> qubits in each of the 2^n basis indices, in index order; cached, read-only."""
     w = np.zeros((), dtype=int)
     for _ in range(n):
         w = np.add.outer(w, (0, 1))
-    return w.reshape(2 ** n)
+    w = w.reshape(2 ** n)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from symphot import symmetric
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
-from symphot.fock import FockVector
+from symphot.fock import FockVector, PolarizationAmplitude
 from symphot.multiport import _expand_basis_state, _qubits
 from symphot.schemes import SourceRates
 from symphot.symmetric import SymmetricCoefficients, dicke_state
@@ -32,6 +32,12 @@ def items_bytes(state):
 def random_coefficients(n, rng):
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     return c / np.linalg.norm(c)
+
+
+def real_params(n, rng):
+    """Random real source parameters."""
+    return [PolarizationAmplitude.from_unnormalized(complex(a), complex(b))
+            for a, b in rng.normal(size=(n, 2))]
 
 
 def perturb_round_trip(monkeypatch):

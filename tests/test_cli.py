@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symphot import cli, fock, multiport
+from symphot import cli, fock, multiport, schemes
 from symphot.fock import PolarizationAmplitude
 from symphot.multiport import build_cascade
-from symphot.symmetric import SynthesisError, coefficients_from_params
+from symphot.symmetric import SynthesisError, coefficients_from_params, hamming_weights
 
 import oracle
 from conftest import (
@@ -24,6 +25,7 @@ from conftest import (
     perturb_round_trip,
     random_coefficients,
     random_params,
+    real_params,
     render_json_walk,
 )
 
@@ -260,6 +262,84 @@ class TestSimulate:
         code, payload = run_cli(tmp_path, ["simulate"], _param_doc(params), capsys)
         assert code == cli.EXIT_OK
         assert payload["p_output"] == float(f"{factorial(n) / n ** n:.12g}")
+
+
+def _unspliced_simulate(doc) -> str:
+    """The simulate stdout built the way it was before the splice: each of
+    the 2^N amplitudes rounded and encoded on its own, the labels from
+    ``itertools.product``, the whole document rendered in one piece."""
+    warnings = []
+    _, params = cli.parse_state_document(json.loads(json.dumps(doc)), warnings.append)
+    n = len(params)
+    state, p_o = cli.postselected_state(params)
+    report = schemes.rates(n, params)
+    out = {
+        "N": n,
+        "amplitudes": [cli._complex_doc(z) for z in state.amplitudes.tolist()],
+        "basis_labels": ["".join(label) for label in itertools.product("HV", repeat=n)],
+        "norm_squared": cli._sig12(report.norm_squared),
+        "p_input": {name: cli._sig12(getattr(report, name).p_input)
+                    for name in ("cl", "ncl", "sps")},
+        "p_output": cli._sig12(p_o),
+        "warnings": warnings,
+    }
+    return cli._render_json(out) + "\n"
+
+
+def _params_doc(params):
+    return _param_doc([(p.alpha, p.beta) for p in params])
+
+
+class TestSimulateSplice:
+    """simulate writes its 2^N entries from the N+1 distinct amplitudes, in
+    blocks; the bytes are those of the whole document rendered at once."""
+
+    @staticmethod
+    def _check(doc):
+        code, out, err, caught = run_strict(["simulate"], doc)
+        assert (code, err, caught) == (cli.EXIT_OK, "", [])
+        assert out == _unspliced_simulate(doc)
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_random_params(self, n, rng):
+        self._check(_params_doc(random_params(n, rng)))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_repeated_and_all_h_params(self, n, rng):
+        (p,) = random_params(1, rng)
+        self._check(_params_doc([p] * n))
+        self._check(_param_doc([(1, 0)] * n))
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_real_params_with_signed_zeros(self, n, rng, monkeypatch):
+        # the closed form gives real params +0.0 imaginary parts; make those
+        # of odd weight -0.0, which the document must print apart from 0.0
+        exact = multiport.postselected_state
+
+        def signed(params):
+            state, p_o = exact(params)
+            amplitudes = state.amplitudes.copy()
+            amplitudes.imag = np.where(hamming_weights(n) % 2, -0.0, amplitudes.imag)
+            return type(state)(n, amplitudes), p_o
+
+        monkeypatch.setattr(cli, "postselected_state", signed)
+        out = self._check(_params_doc(real_params(n, rng)))
+        assert '"im": -0.0, ' in out and '"im": 0.0, ' in out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_small_blocks(self, n, rng, monkeypatch):
+        # blocks of 4 entries: every N > 2 spans several blocks
+        monkeypatch.setattr(cli, "_BLOCK_QUBITS", 2)
+        self._check(_params_doc(random_params(n, rng)))
+        self._check(_params_doc(real_params(n, rng)))
+
+    def test_warnings_follow_the_arrays(self, rng):
+        doc = _params_doc(random_params(13, rng))
+        doc["params"][0]["alpha"] = {"re": 1.00000001, "im": 0.0}
+        doc["params"][0]["beta"] = {"re": 0.0, "im": 0.0}
+        out = self._check(doc)
+        assert json.loads(out)["warnings"] == ["params[0] renormalized (deviation 2e-08)"]
 
 
 class TestClassify:
@@ -768,6 +848,22 @@ class TestNumericalFailure:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("exc", [FloatingPointError, MemoryError])
+    @pytest.mark.parametrize("call", ["symphot.cli.postselected_state", "symphot.schemes.rates",
+                                      "symphot.cli._complex_docs", "symphot.cli.hamming_weights",
+                                      "symphot.cli._basis_labels"])
+    def test_simulate_fails_before_its_first_byte(self, call, exc, rng, monkeypatch):
+        # every step of simulate that computes runs before the document is
+        # written, at N = 13 in two blocks as at N = 3 in one
+        def fail(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(call, fail)
+        for n in (3, 13):
+            code, out, err, caught = run_strict(["simulate"], _params_doc(random_params(n, rng)))
+            assert_clean_exit(code, out, err, caught)
+            assert code == cli.EXIT_NUMERICAL
 
     @pytest.mark.parametrize("command", ["synthesize", "classify"])
     def test_binomial_overflow_exits_3(self, command, tmp_path, capsys):

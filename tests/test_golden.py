@@ -11,6 +11,7 @@ After an intended change of output, re-record with
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -20,7 +21,7 @@ import pytest
 
 from symphot import cli
 
-from conftest import render_json_walk, round_floats_walk
+from conftest import hamming_weight, render_json_walk, round_floats_walk
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 RESIDUE = 1e-12
@@ -77,12 +78,23 @@ def test_documents_are_built_rounded(case, monkeypatch):
     docs = []
     render = cli._render_json
     monkeypatch.setattr(cli, "_render_json", lambda doc: docs.append(doc) or render(doc))
-    code, _ = _run(case)
+    code, stdout = _run(case)
     assert code == case["exit"]
     assert len(docs) == (code in (cli.EXIT_OK, cli.EXIT_INVARIANT))
     for doc in docs:
         assert round_floats_walk(doc) == doc
         assert render_json_walk(doc) == render(doc)
+    if case["argv"][0] == "simulate" and docs:
+        # simulate renders one amplitude per Hamming weight and no labels, and
+        # splices the 2^N entries of both into that text: the whole document
+        # is rounded too, and the reference renderer gives the bytes written
+        (doc,) = docs
+        n = doc["N"]
+        assert len(doc["amplitudes"]) == n + 1 and doc["basis_labels"] == []
+        whole = dict(doc, amplitudes=[doc["amplitudes"][hamming_weight(i)] for i in range(2 ** n)],
+                     basis_labels=["".join(label) for label in itertools.product("HV", repeat=n)])
+        assert round_floats_walk(whole) == whole
+        assert render_json_walk(whole) + "\n" == stdout
 
 
 if __name__ == "__main__":

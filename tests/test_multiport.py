@@ -26,10 +26,16 @@ from symphot.multiport import (
 from symphot.symmetric import (
     coefficients_from_params,
     dicke_state,
+    hamming_weights,
     output_state,
 )
 
-from conftest import apply_mode_isometry_merge, postselect_one_per_mode_scan, random_params
+from conftest import (
+    apply_mode_isometry_merge,
+    postselect_one_per_mode_scan,
+    random_params,
+    real_params,
+)
 
 
 def with_output_phases(spec, phases):
@@ -413,6 +419,17 @@ class TestPostselectedState:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             postselected_state([])
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_equal_weight_amplitudes_are_bit_identical(self, n, rng):
+        # simulate writes every bitstring of weight k with the amplitude at
+        # index 2^k - 1, so the 2^N entries must hold N+1 bit patterns
+        for params in (random_params(n, rng), real_params(n, rng),
+                       *_degenerate_params(n, rng).values()):
+            state, _ = postselected_state(params)
+            bits = state.amplitudes.view(np.int64).reshape(-1, 2)
+            first = bits[(1 << np.arange(n + 1)) - 1]
+            assert np.array_equal(bits, first[hamming_weights(n)])
 
 
 def test_output_phases_only_change_global_phase(rng):

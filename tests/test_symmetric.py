@@ -229,6 +229,18 @@ def test_hamming_weight_table(n):
     assert hamming_weights(n).tolist() == [hamming_weight(i) for i in range(2 ** n)]
 
 
+@pytest.mark.parametrize("table, n", [(_sqrt_binomials, 40), (hamming_weights, 10)])
+def test_per_n_tables_cached_and_read_only(table, n):
+    got = table(n)
+    assert table(n) is got
+    assert table.cache_info().maxsize is not None
+    with pytest.raises(ValueError):
+        got[0] = 0
+    fresh = table.__wrapped__(n)
+    assert fresh is not got
+    assert (got.dtype, got.tobytes()) == (fresh.dtype, fresh.tobytes())
+
+
 class TestMajoranaPolynomial:
     def test_ghz_roots_are_cube_roots_of_unity(self):
         c = np.array([1, 0, 0, 1], complex) / sqrt(2)
