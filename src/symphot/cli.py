@@ -127,13 +127,13 @@ def parse_state_document(doc: dict, warn=lambda msg: None):
             [_parse_complex(e, f"dicke_coefficients[{i}]") for i, e in enumerate(entries)],
             dtype=complex,
         )
-        if not np.any(c != 0):
+        if not c.any():
             raise InputError("coefficient vector must be nonzero")
         # the state is blind to scale: bring the largest real or imaginary
         # part into [0.5, 1) by an exact power of two, so that norms of entries
         # near the float limits neither overflow nor underflow
         parts = c.view(float)
-        _, exponent = np.frexp(np.max(np.abs(parts)))
+        _, exponent = np.frexp(abs(parts).max())
         c = np.ldexp(parts, -exponent).view(complex)
         return "coefficients", SymmetricCoefficients(n, c)
     entries = doc["params"]
@@ -239,12 +239,13 @@ def cmd_simulate(args) -> tuple[object, int]:
     return _spliced(n, _render_json(out)), EXIT_OK
 
 
-def _basis_labels(n: int) -> list:
-    """The labels of the 2^n basis indices in index order, qubit 0 first."""
+@functools.lru_cache(maxsize=16)
+def _basis_labels(n: int) -> tuple:
+    """The labels of the 2^n basis indices in index order, qubit 0 first; cached."""
     labels = [""]
     for _ in range(n):
         labels = ["H" + s for s in labels] + ["V" + s for s in labels]
-    return labels
+    return tuple(labels)
 
 
 def _separated(pieces):
@@ -336,7 +337,7 @@ def _check_balanced_dicke(n: int) -> float:
     qubits = _pair_qubits(n, schemes.PSI_PLUS)
     target = dicke_state(2 * n, n)
     # the construction is real and positive; compare amplitudes directly
-    return float(np.max(np.abs(qubits.amplitudes - target.amplitudes)))
+    return float(abs(qubits.amplitudes - target.amplitudes).max())
 
 
 def _check_signed_schmidt(n: int) -> float:
@@ -354,9 +355,9 @@ def _check_signed_schmidt(n: int) -> float:
     signed = np.where(hamming_weights(n)[:, None] % 2, -dicke, dicke)
     expected_state = QubitStateVector(2 * n, signed.reshape(-1))
     # fix the global sign via the largest-magnitude amplitude
-    ref = int(np.argmax(np.abs(expected_state.amplitudes)))
+    ref = int(abs(expected_state.amplitudes).argmax())
     phase = qubits.amplitudes[ref] / expected_state.amplitudes[ref]
-    return float(np.max(np.abs(qubits.amplitudes - phase * expected_state.amplitudes)))
+    return float(abs(qubits.amplitudes - phase * expected_state.amplitudes).max())
 
 
 def _check_projection_symmetry(n: int, rng: np.random.Generator) -> float:
@@ -371,10 +372,14 @@ def _check_projection_symmetry(n: int, rng: np.random.Generator) -> float:
     return worst
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _checked_seed(seed: int) -> int:
     if seed < 0:
         raise InputError(f"--seed must be non-negative, got {seed}")
-    return np.random.default_rng(seed)
+    return seed
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(_checked_seed(seed))
 
 
 def cmd_identity_check(args) -> tuple[dict, int]:
@@ -382,13 +387,14 @@ def cmd_identity_check(args) -> tuple[dict, int]:
         raise InputError(f"N must be at least 1, got {args.n}")
     if args.n > args.max_n_joint:
         raise InputError(f"N={args.n} exceeds the two-register guard {args.max_n_joint}")
-    rng = _rng(args.seed)
+    # only the projection check draws; the others need no numpy.random
+    seed = _checked_seed(args.seed)
     if args.which == CHECK_BALANCED:
         deviation = _check_balanced_dicke(args.n)
     elif args.which == CHECK_SIGNED:
         deviation = _check_signed_schmidt(args.n)
     else:
-        deviation = _check_projection_symmetry(args.n, rng)
+        deviation = _check_projection_symmetry(args.n, _rng(seed))
     passed = deviation <= 1e-9
     out = {
         "N": args.n,

@@ -63,12 +63,22 @@ def build_cascade(n: int) -> CascadeSpec:
         g[k - 1, k - 1] = -sqrt(1.0 - r)
         u = u @ g
     t = u[:, 0].copy()
-    if not (np.max(np.abs(np.abs(t) - 1.0 / sqrt(n))) <= BALANCE_TOL):
+    if not (abs(abs(t) - 1.0 / sqrt(n)).max() <= BALANCE_TOL):
         raise AssertionError("cascade amplitudes are not balanced")
     spec = CascadeSpec(n, tuple(1.0 / k for k in range(2, n + 1)), t, u)
     spec.amplitudes.setflags(write=False)
     spec.unitary.setflags(write=False)
     return spec
+
+
+@lru_cache(maxsize=64)
+def _cascade_phase(n: int) -> np.complex128:
+    """The phase of prod_j t_j of ``build_cascade(n)``; cached.
+
+    Taken factor by factor so that it cannot underflow.
+    """
+    t = build_cascade(n).amplitudes
+    return np.prod(t / abs(t))
 
 
 #: Isometry plans kept in ``_EXPANSION_CACHE``, least recently used evicted first.
@@ -240,10 +250,7 @@ def postselected_state(params: Sequence[PolarizationAmplitude]) -> tuple[QubitSt
     params = list(params)
     n = len(params)
     state = output_state(scaled_coefficients_from_params(params))
-    # the phase of prod_j t_j, taken factor by factor so that it cannot underflow
-    t = build_cascade(n).amplitudes
-    phase = np.prod(t / np.abs(t))
-    return QubitStateVector(n, phase * state.amplitudes), postselection_probability(n)
+    return QubitStateVector(n, _cascade_phase(n) * state.amplitudes), postselection_probability(n)
 
 
 def postselection_probability(n: int) -> float:

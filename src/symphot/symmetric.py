@@ -49,7 +49,7 @@ class SymmetricCoefficients:
         c = np.asarray(self.c, dtype=complex)
         if c.shape != (self.n + 1,):
             raise ValueError(f"expected {self.n + 1} coefficients, got shape {c.shape}")
-        if not np.any(c != 0):
+        if not c.any():
             raise ValueError("coefficient vector must be nonzero")
         object.__setattr__(self, "c", c)
 
@@ -62,8 +62,8 @@ class SymmetricCoefficients:
         """
         if self.n != other.n:
             raise ValueError("photon-number mismatch")
-        a = self.c / np.max(np.abs(self.c))
-        b = other.c / np.max(np.abs(other.c))
+        a = self.c / abs(self.c).max()
+        b = other.c / abs(other.c).max()
         return float(abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
@@ -117,6 +117,23 @@ def _sqrt_binomials(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _majorana_weights(n: int) -> np.ndarray:
+    """(-1)^k sqrt(C(n,k)), the scale from c_k to the Majorana p_k; cached, read-only."""
+    out = np.where(np.arange(n + 1) % 2, -1, 1) * _sqrt_binomials(n)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _expansion_weights(n: int) -> np.ndarray:
+    """sqrt(C(n,k)) k!(n-k)!, the scale from f_k to c_k; cached, read-only."""
+    fact = np.array([float(factorial(k)) for k in range(n + 1)])
+    out = _sqrt_binomials(n) * fact * fact[::-1]
+    out.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=32)
 def hamming_weights(n: int) -> np.ndarray:
     """Number of |V> qubits in each of the 2^n basis indices, in index order; cached, read-only."""
@@ -148,22 +165,35 @@ class MajoranaPolynomial:
         as large as the others has |p_N| / max|p| below 1e-14.
         """
         p = self.coefficients
-        c = np.abs(p) / _sqrt_binomials(len(p) - 1)
-        nonzero = np.nonzero(c > DEGREE_TOL * np.max(c))[0]
+        c = abs(p) / _sqrt_binomials(len(p) - 1)
+        nonzero = (c > DEGREE_TOL * c.max()).nonzero()[0]
         return int(nonzero[-1]) if nonzero.size else 0
 
     def roots(self) -> np.ndarray:
         """Companion-matrix eigenvalues, Newton-polished: up to 4 steps per root, each
-        taken only if it lowers |p|, over all roots still moving in one Horner sweep."""
+        taken only if it lowers |p|, over all roots still moving in one Horner sweep.
+
+        The companion matrix is the one ``np.roots`` builds, so the roots are
+        its roots bit for bit: the ``lo`` exactly-zero low-order coefficients
+        are exact roots at 0, appended after the eigenvalues.
+        """
         k = self.degree
         if k == 0:
             return np.zeros(0, dtype=complex)
         p = self.coefficients[: k + 1]
-        # numpy expects highest-order first; uses the balanced companion matrix
         hi_first = p[::-1]
         dp = (p[1:] * np.arange(1, k + 1))[::-1]
-        scale = float(np.max(np.abs(p)))
-        z = np.asarray(np.roots(hi_first), dtype=complex)
+        scale = float(abs(p).max())
+        # p_k is nonzero, so only low-order coefficients can be stripped
+        lo = int(p.nonzero()[0][0])
+        m = k - lo
+        z = np.zeros(k, dtype=complex)
+        if m:
+            hi = hi_first[: k + 1 - lo]
+            companion = np.zeros((m, m), dtype=complex)
+            companion.flat[m :: m + 1] = 1.0
+            companion[0] = -hi[1:] / hi[0]
+            z[:m] = np.linalg.eigvals(companion)
         live = np.arange(k)
         fz = np.polyval(hi_first, z)
         for _ in range(4):
@@ -216,8 +246,7 @@ def coefficients_from_params(params: Sequence[PolarizationAmplitude]) -> Symmetr
     """
     f = _product_polynomial(params)
     n = len(f) - 1
-    fact = np.array([float(factorial(k)) for k in range(n + 1)])
-    return SymmetricCoefficients(n, _sqrt_binomials(n) * fact * fact[::-1] * f)
+    return SymmetricCoefficients(n, _expansion_weights(n) * f)
 
 
 def scaled_coefficients_from_params(
@@ -236,7 +265,7 @@ def scaled_coefficients_from_params(
 def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
     """Squared norm of the unnormalized product state: sum_k |c_k|^2 / N!."""
     coeffs = coefficients_from_params(params)
-    return float(np.sum(np.abs(coeffs.c) ** 2) / factorial(coeffs.n))
+    return float((abs(coeffs.c) ** 2).sum() / factorial(coeffs.n))
 
 
 def output_state(coeffs: SymmetricCoefficients) -> QubitStateVector:
@@ -247,9 +276,7 @@ def output_state(coeffs: SymmetricCoefficients) -> QubitStateVector:
 
 
 def majorana_polynomial(coeffs: SymmetricCoefficients) -> MajoranaPolynomial:
-    n = coeffs.n
-    signs = np.where(np.arange(n + 1) % 2, -1, 1)
-    return MajoranaPolynomial(signs * _sqrt_binomials(n) * coeffs.c)
+    return MajoranaPolynomial(_majorana_weights(coeffs.n) * coeffs.c)
 
 
 @dataclass(frozen=True)

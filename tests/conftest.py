@@ -165,6 +165,49 @@ def polished_roots_scalar(poly):
     return np.asarray(polished, dtype=complex)
 
 
+def polished_roots_np(poly):
+    """Reference root finder: ``np.roots``, then the masked one-sweep polish.
+
+    Returns what ``MajoranaPolynomial.roots`` returns, bit for bit; the
+    library builds the companion matrix of ``np.roots`` itself.
+    """
+    k = poly.degree
+    if k == 0:
+        return np.zeros(0, dtype=complex)
+    p = poly.coefficients[: k + 1]
+    hi_first = p[::-1]
+    dp = (p[1:] * np.arange(1, k + 1))[::-1]
+    scale = float(np.max(np.abs(p)))
+    z = np.asarray(np.roots(hi_first), dtype=complex)
+    live = np.arange(k)
+    fz = np.polyval(hi_first, z)
+    for _ in range(4):
+        afz = np.abs(fz)
+        go = ~(afz <= 1e-12 * scale)
+        live, fz, afz = live[go], fz[go], afz[go]
+        if not live.size:
+            break
+        dfz = np.polyval(dp, z[live])
+        go = dfz != 0
+        live, fz, afz, dfz = live[go], fz[go], afz[go], dfz[go]
+        moved = z[live] - fz / dfz
+        f_moved = np.polyval(hi_first, moved)
+        go = np.abs(f_moved) < afz
+        live, fz = live[go], f_moved[go]
+        z[live] = moved[go]
+    return z
+
+
+def partitions(n, largest=None):
+    """Every partition of n into positive parts, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
 def cluster_pairwise(params, tol):
     """Reference clustering: one scalar projective distance per pair.
 

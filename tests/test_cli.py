@@ -341,6 +341,14 @@ class TestSimulateSplice:
         out = self._check(doc)
         assert json.loads(out)["warnings"] == ["params[0] renormalized (deviation 2e-08)"]
 
+    def test_basis_labels_cached_and_immutable(self):
+        labels = cli._basis_labels(4)
+        assert cli._basis_labels(4) is labels
+        assert cli._basis_labels.cache_info().maxsize is not None
+        assert isinstance(labels, tuple)
+        assert labels == cli._basis_labels.__wrapped__(4)
+        assert labels[:3] == ("HHHH", "HHHV", "HHVH") and len(labels) == 16
+
 
 class TestClassify:
     def test_param_form(self, tmp_path, capsys):
@@ -524,7 +532,10 @@ class TestSeed:
     @pytest.mark.parametrize("argv", [
         ["self-test"],
         ["identity-check", "2", cli.CHECK_PERMUTATION],
-    ], ids=["self-test", "identity-check"])
+        ["identity-check", "2", cli.CHECK_BALANCED],
+        ["identity-check", "2", cli.CHECK_SIGNED],
+    ], ids=["self-test", "identity-check", "identity-check-dicke-2n",
+            "identity-check-schmidt-signs"])
     def test_negative_seed_rejected(self, argv, capsys):
         code = cli.main(["--seed", "-1", *argv])
         out, err = capsys.readouterr()

@@ -83,6 +83,16 @@ class TestCascade:
         assert spec.amplitudes.tobytes() == fresh.amplitudes.tobytes()
         assert spec.unitary.tobytes() == fresh.unitary.tobytes()
 
+    def test_phase_cached(self):
+        phase = multiport._cascade_phase(5)
+        assert multiport._cascade_phase(5) is phase
+        assert multiport._cascade_phase.cache_info().maxsize is not None
+        # a numpy scalar: immutable
+        with pytest.raises(TypeError):
+            phase[()] = 0
+        fresh = multiport._cascade_phase.__wrapped__(5)
+        assert np.array(phase).tobytes() == np.array(fresh).tobytes()
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_cache_keeps_outputs(self, n, rng, monkeypatch):
         # the cached cascade gives what a fresh one per call gives, bit for bit

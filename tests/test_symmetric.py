@@ -5,10 +5,14 @@ import pytest
 
 from symphot.fock import FockVector, PolarizationAmplitude, product_state
 from symphot.symmetric import (
+    DEGREE_TOL,
     SYNTHESIS_TOL,
+    MajoranaPolynomial,
     QubitStateVector,
     SymmetricCoefficients,
     SynthesisError,
+    _expansion_weights,
+    _majorana_weights,
     _sqrt_binomials,
     coefficients_from_params,
     dicke_state,
@@ -24,7 +28,9 @@ from symphot.symmetric import (
 
 from conftest import (
     hamming_weight,
+    partitions,
     perturb_round_trip,
+    polished_roots_np,
     polished_roots_scalar,
     random_coefficients,
     random_params,
@@ -229,7 +235,10 @@ def test_hamming_weight_table(n):
     assert hamming_weights(n).tolist() == [hamming_weight(i) for i in range(2 ** n)]
 
 
-@pytest.mark.parametrize("table, n", [(_sqrt_binomials, 40), (hamming_weights, 10)])
+@pytest.mark.parametrize("table, n", [
+    (_sqrt_binomials, 40), (hamming_weights, 10), (_majorana_weights, 40),
+    (_expansion_weights, 40), (_expansion_weights, 170),
+])
 def test_per_n_tables_cached_and_read_only(table, n):
     got = table(n)
     assert table(n) is got
@@ -311,6 +320,57 @@ class TestRootPolish:
         c = np.zeros(n + 1)
         c[0] = c[n] = 1 / sqrt(2)
         _assert_polish_matches_scalar(SymmetricCoefficients(n, c))
+
+
+def _assert_roots_match_np(poly):
+    got, want = poly.roots(), polished_roots_np(poly)
+    assert got.dtype == want.dtype == complex
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _random_polynomial(n, rng):
+    return MajoranaPolynomial(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+
+
+class TestCompanionEigensolve:
+    """``roots`` builds the companion matrix of ``np.roots``: the same roots, bit for bit."""
+
+    def test_random(self, rng):
+        for n in range(1, 41):
+            for _ in range(5):
+                _assert_roots_match_np(_random_polynomial(n, rng))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 40])
+    def test_roots_at_zero(self, n, rng):
+        # p_0 = p_1 = 0: two exact roots at 0 after the eigenvalues
+        p = _random_polynomial(n, rng).coefficients
+        p[:2] = 0
+        _assert_roots_match_np(MajoranaPolynomial(p))
+        # only p_N left: every root is an exact zero and no eigensolve runs
+        _assert_roots_match_np(MajoranaPolynomial(np.eye(n + 1)[n]))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    def test_degree_drop(self, n, rng):
+        for drop in (0.0, DEGREE_TOL * 1e-3):
+            p = _random_polynomial(n, rng).coefficients
+            p[-2:] *= drop
+            poly = MajoranaPolynomial(p)
+            assert poly.degree == n - 2
+            _assert_roots_match_np(poly)
+
+    def test_degree_one(self, rng):
+        for n in (1, 2, 5):
+            p = np.zeros(n + 1, dtype=complex)
+            p[:2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            poly = MajoranaPolynomial(p)
+            assert poly.degree == 1
+            _assert_roots_match_np(poly)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_repeated_roots(self, n, rng):
+        for partition in partitions(n):
+            _assert_roots_match_np(majorana_polynomial(_partition_coefficients(partition, rng)))
 
 
 class TestSynthesizeRecord:
