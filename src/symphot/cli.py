@@ -77,15 +77,8 @@ def _complex_doc(z: complex) -> dict:
 
 
 def _complex_docs(values) -> list:
-    """``_complex_doc`` of each entry, rounding each distinct value once.
-
-    Repeats share one dict.  Values are told apart by their bit patterns:
-    0.0 and -0.0 compare equal but print differently.
-    """
-    a = np.ascontiguousarray(values, dtype=complex)
-    keys = list(map(tuple, a.view(np.int64).reshape(-1, 2).tolist()))
-    docs = {key: _complex_doc(z) for key, z in dict(zip(keys, a.tolist())).items()}
-    return list(map(docs.__getitem__, keys))
+    """``_complex_doc`` of each entry of a complex array."""
+    return [_complex_doc(z) for z in np.asarray(values, dtype=complex).tolist()]
 
 
 def _parse_complex(obj, where: str) -> complex:

@@ -7,7 +7,6 @@ single-photon amplitude into every output equal to 1/sqrt(N).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -81,11 +80,8 @@ def _cascade_phase(n: int) -> np.complex128:
     return np.prod(t / abs(t))
 
 
-#: Isometry plans kept in ``_EXPANSION_CACHE``, least recently used evicted first.
+#: Isometry plans kept by ``_isometry_plan``, least recently used evicted first.
 EXPANSION_CACHE_SIZE = 16
-
-# isometry plans keyed by (matrix bytes, matrix shape, tuple of input keys)
-_EXPANSION_CACHE: OrderedDict = OrderedDict()
 
 
 def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> FockVector:
@@ -102,34 +98,28 @@ def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> FockVe
     return apply_operator(start, *words)
 
 
-def _isometry_plan(keys: tuple, in_modes: int, matrix: np.ndarray) -> tuple:
+@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
+def _isometry_plan(matrix_bytes: bytes, shape: tuple, keys: tuple) -> tuple:
     """The isometry restricted to ``keys``, as a sparse linear map.
 
-    Returns ``(index, rows, cols, coeffs)``: term t adds ``coeffs[t]`` times
-    the amplitude of ``keys[cols[t]]`` to the output key at position
-    ``rows[t]`` of ``index``.  The terms run input key by input key, each in
-    its expansion's order, and ``index`` maps the output keys to positions in
-    order of first appearance; every output vector shares it.  The last
-    ``EXPANSION_CACHE_SIZE`` plans used are kept.
+    The complex matrix arrives as its C-order bytes and shape, so that it can
+    key the cache.  Returns ``(index, rows, cols, coeffs)``: term t adds
+    ``coeffs[t]`` times the amplitude of ``keys[cols[t]]`` to the output key
+    at position ``rows[t]`` of ``index``.  The terms run input key by input
+    key, each in its expansion's order, and ``index`` maps the output keys to
+    positions in order of first appearance; every output vector shares it.
+    The last ``EXPANSION_CACHE_SIZE`` plans used are kept.
     """
-    cache_key = (matrix.tobytes(), matrix.shape, keys)
-    plan = _EXPANSION_CACHE.get(cache_key)
-    if plan is not None:
-        _EXPANSION_CACHE.move_to_end(cache_key)
-        return plan
+    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(shape)
     index: dict = {}
     rows, cols, coeffs = [], [], []
     for col, key in enumerate(keys):
-        terms = _expand_basis_state(key, in_modes, matrix)
+        terms = _expand_basis_state(key, shape[1], matrix)
         rows += [index.setdefault(out_key, len(index)) for out_key in terms.keys()]
         cols += [col] * len(terms)
         coeffs += (coeff for _, coeff in terms.items())
-    plan = (index, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+    return (index, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array(coeffs, dtype=complex))
-    _EXPANSION_CACHE[cache_key] = plan
-    if len(_EXPANSION_CACHE) > EXPANSION_CACHE_SIZE:
-        _EXPANSION_CACHE.popitem(last=False)
-    return plan
 
 
 def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
@@ -144,7 +134,8 @@ def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] != state.modes:
         raise ValueError("matrix column count must match input mode count")
-    index, rows, cols, coeffs = _isometry_plan(tuple(state.keys()), state.modes, matrix)
+    index, rows, cols, coeffs = _isometry_plan(matrix.tobytes(), matrix.shape,
+                                              tuple(state.keys()))
     out = np.zeros(len(index), dtype=complex)
     np.add.at(out, rows, state._values[cols] * coeffs)
     # the expansions checked their key widths once, when the plan was built

@@ -301,8 +301,7 @@ def synthesize(coeffs: SymmetricCoefficients, tol: float = SYNTHESIS_TOL) -> Syn
     # overall scale of c is irrelevant to the roots; normalize for conditioning
     unit = SymmetricCoefficients(n, coeffs.c / np.linalg.norm(coeffs.c))
     roots = majorana_polynomial(unit).roots()
-    scales = [sqrt(1.0 + abs(z) ** 2) for z in roots]
-    params = [PolarizationAmplitude(z / s, 1.0 / s) for z, s in zip(roots, scales)]
+    params = [PolarizationAmplitude.from_unnormalized(z, 1.0) for z in roots]
     params += [PolarizationAmplitude.horizontal()] * (n - len(roots))
     fidelity = unit.fidelity(scaled_coefficients_from_params(params))
     residual = 1.0 - fidelity

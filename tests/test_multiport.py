@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial, sqrt
 
 import numpy as np
@@ -24,6 +25,7 @@ from symphot.multiport import (
     run_pipeline,
 )
 from symphot.symmetric import (
+    QubitStateVector,
     coefficients_from_params,
     dicke_state,
     hamming_weights,
@@ -32,6 +34,7 @@ from symphot.symmetric import (
 
 from conftest import (
     apply_mode_isometry_merge,
+    glynn_permanent,
     postselect_one_per_mode_scan,
     random_params,
     real_params,
@@ -265,28 +268,25 @@ class TestIsometryPlan:
     def test_one_plan_per_matrix_and_key_set(self, rng):
         spec = build_cascade(3)
         distribute(product_state(random_params(3, rng)), spec)
-        entries = len(multiport._EXPANSION_CACHE)
+        misses = multiport._isometry_plan.cache_info().misses
         # new amplitudes on the same keys reuse the plan
         distribute(product_state(random_params(3, rng)), spec)
-        assert len(multiport._EXPANSION_CACHE) == entries
-
-    @staticmethod
-    def _plan_key(state, spec):
-        """The `_EXPANSION_CACHE` key of distributing ``state`` over ``spec``."""
-        matrix = spec.amplitudes.reshape(spec.n, 1)
-        return matrix.tobytes(), matrix.shape, tuple(state.keys())
+        assert multiport._isometry_plan.cache_info().misses == misses
 
     def test_cache_is_bounded(self, rng):
+        size = multiport._isometry_plan.cache_info().maxsize
+        assert size == multiport.EXPANSION_CACHE_SIZE == 16
         state = product_state(random_params(3, rng))
         first = with_output_phases(build_cascade(3), rng.uniform(0, 2 * np.pi, 3))
         want = distribute(state, first)
         for _ in range(40):
             distribute(state, with_output_phases(build_cascade(3), rng.uniform(0, 2 * np.pi, 3)))
-            assert len(multiport._EXPANSION_CACHE) <= multiport.EXPANSION_CACHE_SIZE
-        assert self._plan_key(state, first) not in multiport._EXPANSION_CACHE
-        # a plan rebuilt after eviction gives the same vector
+            assert multiport._isometry_plan.cache_info().currsize <= size
+        # the first plan was evicted, and rebuilding it gives the same vector
+        misses = multiport._isometry_plan.cache_info().misses
         assert_same_items(distribute(state, first), want)
-        assert len(multiport._EXPANSION_CACHE) <= multiport.EXPANSION_CACHE_SIZE
+        assert multiport._isometry_plan.cache_info().misses == misses + 1
+        assert multiport._isometry_plan.cache_info().currsize <= size
 
     def test_recently_used_plan_stays_cached(self, rng):
         state = product_state(random_params(2, rng))
@@ -294,8 +294,9 @@ class TestIsometryPlan:
         distribute(state, kept)
         for _ in range(2 * multiport.EXPANSION_CACHE_SIZE):
             distribute(state, with_output_phases(build_cascade(2), rng.uniform(0, 2 * np.pi, 2)))
-            assert self._plan_key(state, kept) in multiport._EXPANSION_CACHE
+            misses = multiport._isometry_plan.cache_info().misses
             distribute(state, kept)
+            assert multiport._isometry_plan.cache_info().misses == misses
 
 
 class TestDickeMonomialMap:
@@ -440,6 +441,52 @@ class TestPostselectedState:
             bits = state.amplitudes.view(np.int64).reshape(-1, 2)
             first = bits[(1 << np.arange(n + 1)) - 1]
             assert np.array_equal(bits, first[hamming_weights(n)])
+
+
+class TestPostselectedStatePermanents:
+    """Above N = 10 the closed form is checked against the multiport permanents.
+
+    The one-per-mode pattern s has amplitude perm(M_s), where row i of M_s
+    is photon i and column j holds t_j alpha_i if mode j is H and t_j beta_i
+    if it is V.  The input norm is perm of the Gram matrix <p_i|p_k>, so the
+    post-selected qubit amplitude is perm(M_s) / sqrt(p perm(G)).  Each
+    permanent costs O(N^2 2^N), so the patterns are sampled: for every weight k
+    the one with the last k modes V, which ``simulate`` prints, and random
+    ones, since the claim includes the symmetry under permuting the modes.
+    """
+
+    @staticmethod
+    def _check_against_permanents(params, state, p, rng, tol=1e-12):
+        n = len(params)
+        t = build_cascade(n).amplitudes
+        pol = np.array([[q.alpha, q.beta] for q in params])
+        scale = sqrt(p * glynn_permanent(pol.conj() @ pol.T).real)
+        place = 1 << np.arange(n - 1, -1, -1)
+        for k in range(n + 1):
+            last_k = np.arange(n) >= n - k
+            for pattern in (last_k, *(rng.permutation(last_k) for _ in range(2))):
+                want = glynn_permanent(t * pol[:, pattern.astype(int)]) / scale
+                assert abs(state.amplitudes[place @ pattern] - want) <= tol
+
+    @pytest.mark.parametrize("n", range(11, 15))
+    def test_patterns_match_permanents(self, n, rng):
+        for params in (random_params(n, rng), [random_params(1, rng)[0]] * n):
+            state, p = postselected_state(params)
+            self._check_against_permanents(params, state, p, rng)
+
+    def test_sign_flip_of_one_weight_fails(self, rng):
+        n = 11
+        params = random_params(n, rng)
+        state, p = postselected_state(params)
+        flipped = np.where(hamming_weights(n) == n // 2, -1.0, 1.0) * state.amplitudes
+        with pytest.raises(AssertionError):
+            self._check_against_permanents(params, QubitStateVector(n, flipped), p, rng)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_glynn_matches_permutation_sum(self, n, rng):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = sum(np.prod(a[np.arange(n), perm]) for perm in permutations(range(n)))
+        assert abs(glynn_permanent(a) - want) <= 1e-13 * abs(want)
 
 
 def test_output_phases_only_change_global_phase(rng):
