@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -146,8 +146,7 @@ def parse_state_document(doc: dict, warn=lambda msg: None):
             raise InputError(f"params[{i}]: |alpha|^2+|beta|^2 = {nsq:.9g}, not 1")
         if abs(nsq - 1.0) > 1e-9:
             warn(f"params[{i}] renormalized (deviation {abs(nsq - 1.0):.3g})")
-        norm = sqrt(nsq)
-        params.append(PolarizationAmplitude(a / norm, b / norm))
+        params.append(PolarizationAmplitude.from_unnormalized(a, b))
     return "params", params
 
 

@@ -141,7 +141,8 @@ class FockVector:
         # loaded 2-vCPU host
         return float(np.square(self._values.view(float)).sum())
 
-    def scaled(self, factor: complex) -> "FockVector":
+    def scaled(self, factor) -> "FockVector":
+        """The vector times ``factor``: a number, or one factor per term in term order."""
         return FockVector._from_index(self.modes, self._index, self._values * factor)
 
     def __add__(self, other: "FockVector") -> "FockVector":

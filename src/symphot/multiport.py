@@ -80,10 +80,6 @@ def _cascade_phase(n: int) -> np.complex128:
     return np.prod(t / abs(t))
 
 
-#: Isometry plans kept by ``_isometry_plan``, least recently used evicted first.
-EXPANSION_CACHE_SIZE = 16
-
-
 def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> FockVector:
     """Expansion of one occupation basis state under a_{i,P}^dag -> sum_j M_ji a_{j,P}^dag."""
     out_modes = matrix.shape[0]
@@ -98,48 +94,22 @@ def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> FockVe
     return apply_operator(start, *words)
 
 
-@lru_cache(maxsize=EXPANSION_CACHE_SIZE)
-def _isometry_plan(matrix_bytes: bytes, shape: tuple, keys: tuple) -> tuple:
-    """The isometry restricted to ``keys``, as a sparse linear map.
-
-    The complex matrix arrives as its C-order bytes and shape, so that it can
-    key the cache.  Returns ``(index, rows, cols, coeffs)``: term t adds
-    ``coeffs[t]`` times the amplitude of ``keys[cols[t]]`` to the output key
-    at position ``rows[t]`` of ``index``.  The terms run input key by input
-    key, each in its expansion's order, and ``index`` maps the output keys to
-    positions in order of first appearance; every output vector shares it.
-    The last ``EXPANSION_CACHE_SIZE`` plans used are kept.
-    """
-    matrix = np.frombuffer(matrix_bytes, dtype=complex).reshape(shape)
-    index: dict = {}
-    rows, cols, coeffs = [], [], []
-    for col, key in enumerate(keys):
-        terms = _expand_basis_state(key, shape[1], matrix)
-        rows += [index.setdefault(out_key, len(index)) for out_key in terms.keys()]
-        cols += [col] * len(terms)
-        coeffs += (coeff for _, coeff in terms.items())
-    return (index, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(coeffs, dtype=complex))
-
-
 def apply_mode_isometry(state: FockVector, matrix: np.ndarray) -> FockVector:
     """Transform creation operators by an isometry on the spatial modes.
 
     ``matrix`` has shape (out_modes, in_modes) with orthonormal columns; both
-    polarizations see the same spatial transform.  The linear map from the
-    state's keys is built once per (matrix, key tuple) and cached; applying
-    it adds each output key's terms in input-key order, and the result
-    shares the plan's key index.
+    polarizations see the same spatial transform.  Each input key's expansion
+    is merged into one map in input-key order, so the output keys appear in
+    order of first appearance.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[1] != state.modes:
         raise ValueError("matrix column count must match input mode count")
-    index, rows, cols, coeffs = _isometry_plan(matrix.tobytes(), matrix.shape,
-                                              tuple(state.keys()))
-    out = np.zeros(len(index), dtype=complex)
-    np.add.at(out, rows, state._values[cols] * coeffs)
-    # the expansions checked their key widths once, when the plan was built
-    return FockVector._from_index(matrix.shape[0], index, out)
+    merged: dict = {}
+    for key, amp in state.items():
+        for out_key, coeff in _expand_basis_state(key, state.modes, matrix).items():
+            merged[out_key] = merged.get(out_key, 0.0) + amp * coeff
+    return FockVector(matrix.shape[0], merged)
 
 
 def distribute(state: FockVector, spec: CascadeSpec) -> FockVector:

@@ -14,6 +14,7 @@ Mode registers for joint states are ordered [a, b_1, ..., b_N].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, isfinite, sqrt
 from typing import Sequence
 
@@ -141,14 +142,27 @@ def dicke_2n_construction(n: int, kind: str = PSI_PLUS) -> FockVector:
     equals the balanced 2N-qubit Dicke state D_2N^(N) only at N = 1; the
     collinear construction reaches D_2N^(N) for every N, while the psi+
     fidelity here is 4^N / ((N+1) C(2N,N)) (8/9 at N = 2, 4/5 at N = 3).
+    Both kinds are cached per N and share one key index; do not modify them.
     """
-    joint = ncl_joint_state(n, kind)
-    t = build_cascade(n).amplitudes
+    sign = _check_kind(kind)
+    return _dicke_2n_pair(n)[sign < 0]
+
+
+@lru_cache(maxsize=8)
+def _dicke_2n_pair(n: int) -> tuple[FockVector, FockVector]:
+    """``dicke_2n_construction(n, kind)`` for psi+ and psi-, in that order.
+
+    A pair factor's sign rides on its b_H branch, and the isometry leaves the
+    B modes alone, so the psi- state is the psi+ state times (-1)^(number of
+    H photons in B), term by term.
+    """
+    joint = ncl_joint_state(n, PSI_PLUS)
     iso = np.zeros((2 * n, n + 1), dtype=complex)
-    iso[:n, 0] = t
-    for i in range(n):
-        iso[n + i, 1 + i] = 1.0
-    return apply_mode_isometry(joint, iso)
+    iso[:n, 0] = build_cascade(n).amplitudes
+    iso[n:, 1:] = np.eye(n)
+    plus = apply_mode_isometry(joint, iso)
+    signs = [(-1) ** sum(key[2 * n::2]) for key in plus.keys()]
+    return plus, plus.scaled(np.array(signs))
 
 
 def cl_input_state(n: int) -> FockVector:

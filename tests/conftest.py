@@ -243,15 +243,20 @@ def glynn_permanent(a):
     """Permanent of a square matrix by Glynn's formula, O(n^2 2^n).
 
     perm(A) = 2^(1-n) sum over sign vectors d with d_0 = +1 of
-    (prod_i d_i) prod_j sum_i d_i a_ij.
+    (prod_i d_i) prod_j sum_i d_i a_ij, taken 2^15 sign vectors at a time
+    so that memory stays small at n = 20.
     """
     a = np.asarray(a, dtype=complex)
     n = len(a)
-    # column m is the sign vector of the even number 2m
-    d = 1.0 - 2 * ((2 * np.arange(2 ** (n - 1)) >> np.arange(n)[:, None]) & 1)
-    # two real products run several times faster than one complex-by-real one
-    sums = a.real.T @ d + 1j * (a.imag.T @ d)
-    return (d.prod(axis=0) * sums.prod(axis=0)).sum() / 2 ** (n - 1)
+    block, total = 2 ** 15, 0.0
+    for start in range(0, 2 ** (n - 1), block):
+        # column m is the sign vector of the even number 2m
+        m = np.arange(start, min(start + block, 2 ** (n - 1)))
+        d = 1.0 - 2 * ((2 * m >> np.arange(n)[:, None]) & 1)
+        # two real products run several times faster than one complex-by-real one
+        sums = a.real.T @ d + 1j * (a.imag.T @ d)
+        total += (d.prod(axis=0) * sums.prod(axis=0)).sum()
+    return total / 2 ** (n - 1)
 
 
 def closed_form_rates(n, nsq, src=SourceRates()):

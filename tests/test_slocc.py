@@ -13,7 +13,7 @@ from symphot.slocc import (
 )
 from symphot.symmetric import SymmetricCoefficients
 
-from conftest import cluster_pairwise, random_params
+from conftest import cluster_pairwise, partitions, random_params
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
@@ -199,3 +199,30 @@ class TestSameClass:
         base = classify_params(params).configuration
         shuffled = classify_params(params[::-1]).configuration
         assert base == shuffled
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partition_invariant_under_slocc(self, n, rng):
+        # every partition of n, realised 10 times: distinct polarizations at
+        # projective distance > 1e-2, each repeated with a random phase.  An
+        # invertible A shrinks a projective distance by at most its condition
+        # number, so with cond(A) <= 1e3 the distinct ones stay above 1e-5,
+        # clear of the 1e-6 tolerance and its [1e-7, 1e-6] warning band.
+        for partition in partitions(n):
+            for _ in range(10):
+                states = []
+                while len(states) < len(partition):
+                    p = random_params(1, rng)[0]
+                    if all(projective_distance(p, q) > 1e-2 for q in states):
+                        states.append(p)
+                params = [_phase_shifted(p, rng.uniform(0, 2 * np.pi))
+                          for p, m in zip(states, partition) for _ in range(m)]
+                params = [params[i] for i in rng.permutation(n)]
+                a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                while np.linalg.cond(a) > 1e3:
+                    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                moved = [PolarizationAmplitude.from_unnormalized(*(a @ (p.alpha, p.beta)))
+                         for p in params]
+                for ps in (params, moved):
+                    label = classify_params(ps)
+                    assert label.configuration.multiplicities == partition
+                    assert label.warning is None
