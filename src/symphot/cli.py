@@ -216,12 +216,11 @@ def cmd_simulate(args) -> tuple[object, int]:
     if kind != "params":
         raise InputError("simulate requires the 'params' document form")
     n = len(params)
-    state, p_o = postselected_state(params)
+    amplitudes, p_o = postselected_state(params)
     report = schemes.rates(n, params)
     out = {
         "N": n,
-        # the symmetric state's amplitude of weight k, first met at index 2^k - 1
-        "amplitudes": _complex_docs(state.amplitudes[(1 << np.arange(n + 1)) - 1]),
+        "amplitudes": _complex_docs(amplitudes),
         "basis_labels": [],
         "norm_squared": _sig12(report.norm_squared),
         "p_input": {name: _sig12(getattr(report, name).p_input) for name in ("cl", "ncl", "sps")},

@@ -7,7 +7,7 @@ single-photon amplitude into every output equal to 1/sqrt(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from math import factorial, sqrt
@@ -18,8 +18,8 @@ import numpy as np
 from .fock import FockVector, H, V, PolarizationAmplitude, apply_operator, basis_state
 from .symmetric import (
     QubitStateVector,
+    amplitudes_by_weight,
     normalization_squared,
-    output_state,
     scaled_coefficients_from_params,
 )
 
@@ -32,17 +32,20 @@ class CascadeSpec:
     """A beam-splitter cascade 1 -> n modes.
 
     ``amplitudes`` is the single-photon output amplitude vector t_1..t_n;
-    ``unitary`` is the full n x n mode transform (input enters mode 0).
+    ``unitary`` is the full n x n mode transform (input enters mode 0);
+    ``phase`` is that of prod_j t_j, taken factor by factor so it cannot underflow.
     """
 
     n: int
     reflectivities: tuple
     amplitudes: np.ndarray
     unitary: np.ndarray
+    phase: np.complex128 = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         object.__setattr__(self, "unitary", np.asarray(self.unitary, dtype=complex))
+        object.__setattr__(self, "phase", np.prod(self.amplitudes / abs(self.amplitudes)))
 
 
 @lru_cache(maxsize=64)
@@ -68,16 +71,6 @@ def build_cascade(n: int) -> CascadeSpec:
     spec.amplitudes.setflags(write=False)
     spec.unitary.setflags(write=False)
     return spec
-
-
-@lru_cache(maxsize=64)
-def _cascade_phase(n: int) -> np.complex128:
-    """The phase of prod_j t_j of ``build_cascade(n)``; cached.
-
-    Taken factor by factor so that it cannot underflow.
-    """
-    t = build_cascade(n).amplitudes
-    return np.prod(t / abs(t))
 
 
 def _expand_basis_state(key: tuple, in_modes: int, matrix: np.ndarray) -> FockVector:
@@ -198,20 +191,19 @@ def run_pipeline(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVec
     return _qubits(n, sel, normalization_squared(params))
 
 
-def postselected_state(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVector, float]:
-    """The result of ``run_pipeline`` in closed form, from the N+1 coefficients.
+def postselected_state(params: Sequence[PolarizationAmplitude]) -> tuple[np.ndarray, float]:
+    """The result of ``run_pipeline`` in closed form, one amplitude per Hamming weight.
 
     Every one-per-mode output pattern carries the common factor prod_j t_j
     times the sum over photon orderings, which depends only on how many
     photons are V; so the post-selected state is sum_k c_k |D_N^(k)> with the
-    phase of prod_j t_j, and the probability is N!/N^N.  The cost is that of
-    the 2^N output vector, O(N 2^N); ``run_pipeline`` is the independent
-    computation from the optics.
+    phase of prod_j t_j, and the probability is N!/N^N.  Of the returned
+    (amplitudes, p), ``amplitudes[hamming_weights(N)]`` is ``run_pipeline``'s state.
     """
     params = list(params)
     n = len(params)
-    state = output_state(scaled_coefficients_from_params(params))
-    return QubitStateVector(n, _cascade_phase(n) * state.amplitudes), postselection_probability(n)
+    amplitudes = amplitudes_by_weight(scaled_coefficients_from_params(params))
+    return build_cascade(n).phase * amplitudes, postselection_probability(n)
 
 
 def postselection_probability(n: int) -> float:

@@ -268,11 +268,19 @@ def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
     return float((abs(coeffs.c) ** 2).sum() / factorial(coeffs.n))
 
 
+def amplitudes_by_weight(coeffs: SymmetricCoefficients) -> np.ndarray:
+    """Entry k is the amplitude of ``output_state`` on each of its strings of weight k.
+    The norm adds the 2^N strings' squared parts in index order, as ``norm_squared`` does."""
+    per_string = coeffs.c / _sqrt_binomials(coeffs.n)
+    nsq = float(np.square(per_string.view(float).reshape(-1, 2))[hamming_weights(coeffs.n)].sum())
+    if nsq == 0.0:
+        raise ValueError("cannot normalize a zero state")
+    return per_string / sqrt(nsq)
+
+
 def output_state(coeffs: SymmetricCoefficients) -> QubitStateVector:
     """Renormalized Dicke superposition sum_k c_k |D_N^(k)>."""
-    n = coeffs.n
-    per_string = coeffs.c / _sqrt_binomials(n)
-    return QubitStateVector(n, per_string[hamming_weights(n)]).normalized()
+    return QubitStateVector(coeffs.n, amplitudes_by_weight(coeffs)[hamming_weights(coeffs.n)])
 
 
 def majorana_polynomial(coeffs: SymmetricCoefficients) -> MajoranaPolynomial:

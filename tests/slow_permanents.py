@@ -10,11 +10,11 @@ import pytest
 from symphot.multiport import postselected_state
 
 from conftest import random_params
-from test_multiport import TestPostselectedStatePermanents as _Permanents
+from test_multiport import TestPostselectedStatePermanents as _Permanents, expanded
 
 
 @pytest.mark.parametrize("n", range(18, 21))
 def test_patterns_match_permanents(n, rng):
     for params in (random_params(n, rng), [random_params(1, rng)[0]] * n):
-        state, p = postselected_state(params)
+        state, p = expanded(postselected_state(params))
         _Permanents._check_against_permanents(params, state, p, rng)

@@ -61,11 +61,16 @@ def test_golden(case):
 @pytest.mark.parametrize("case", [case for case in _load() if case["argv"][0] == "simulate"],
                          ids=lambda case: case["name"])
 def test_simulate_without_sector_loop(case, monkeypatch):
-    # simulate takes the closed form; the sector loop is for self-test only
-    def refuse(params):
-        raise AssertionError("simulate called run_pipeline")
+    # simulate takes the closed form in N+1 dimensions; the sector loop is for
+    # self-test only, and no 2^N state vector is built
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"simulate called {name}")
+        return call
 
-    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    for target in ("symphot.cli.run_pipeline", "symphot.symmetric.output_state",
+                   "symphot.multiport.QubitStateVector"):
+        monkeypatch.setattr(target, refuse(target))
     code, stdout = _run(case)
     assert code == case["exit"]
     assert stdout == case["stdout"]

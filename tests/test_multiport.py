@@ -1,5 +1,5 @@
 from itertools import permutations
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from symphot.symmetric import (
     dicke_state,
     hamming_weights,
     output_state,
+    scaled_coefficients_from_params,
 )
 
 from conftest import (
@@ -39,6 +40,13 @@ from conftest import (
     random_params,
     real_params,
 )
+
+
+def expanded(result):
+    """``postselected_state``'s (amplitudes, p), its N+1 amplitudes spread over the 2^N strings."""
+    amplitudes, p = result
+    n = len(amplitudes) - 1
+    return QubitStateVector(n, amplitudes[hamming_weights(n)]), p
 
 
 def with_output_phases(spec, phases):
@@ -87,14 +95,28 @@ class TestCascade:
         assert spec.unitary.tobytes() == fresh.unitary.tobytes()
 
     def test_phase_cached(self):
-        phase = multiport._cascade_phase(5)
-        assert multiport._cascade_phase(5) is phase
-        assert multiport._cascade_phase.cache_info().maxsize is not None
+        # the phase is part of the cached cascade, computed once per N
+        phase = build_cascade(5).phase
+        assert build_cascade(5).phase is phase
         # a numpy scalar: immutable
         with pytest.raises(TypeError):
             phase[()] = 0
-        fresh = multiport._cascade_phase.__wrapped__(5)
+        fresh = build_cascade.__wrapped__(5).phase
         assert np.array(phase).tobytes() == np.array(fresh).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_phase_is_the_product_of_unit_factors(self, n):
+        t = build_cascade(n).amplitudes
+        want = np.prod(t / abs(t))
+        assert np.array(build_cascade(n).phase).tobytes() == np.array(want).tobytes()
+
+    def test_phased_spec_has_its_own_phase(self, rng):
+        n = 5
+        phases = rng.uniform(0, 2 * np.pi, n)
+        spec = with_output_phases(build_cascade(n), phases)
+        want = np.prod(spec.amplitudes / abs(spec.amplitudes))
+        assert np.array(spec.phase).tobytes() == np.array(want).tobytes()
+        assert abs(spec.phase - build_cascade(n).phase * np.exp(1j * phases.sum())) <= 1e-12
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_cache_keeps_outputs(self, n, rng, monkeypatch):
@@ -103,7 +125,7 @@ class TestCascade:
 
         def outputs():
             return (schemes.dicke_2n_construction(n, schemes.PSI_MINUS),
-                    postselected_state(params), run_pipeline(params))
+                    expanded(postselected_state(params)), run_pipeline(params))
 
         # build the pair-source state on every call, so that both halves use their cascade
         monkeypatch.setattr(schemes, "_dicke_2n_pair", schemes._dicke_2n_pair.__wrapped__)
@@ -230,15 +252,9 @@ class TestApplyModeIsometry:
             state = fock.apply_operator(state, [(p.alpha, ((mode, H),)), (p.beta, ((mode, V),))])
         u = build_cascade(n).unitary.T
         for _ in range(2):
-            merged, expanded = {}, 0
-            for key, amp in state.items():
-                terms = multiport._expand_basis_state(key, n, u)
-                expanded += len(terms)
-                for out_key, coeff in terms.items():
-                    merged[out_key] = merged.get(out_key, 0.0) + amp * coeff
-            assert len(merged) < expanded
             out = apply_mode_isometry(state, u)
-            assert list(out.items()) == list(FockVector(n, merged).items())
+            assert len(out) < sum(len(multiport._expand_basis_state(key, n, u))
+                                  for key, _ in state.items())
             assert_same_items(out, apply_mode_isometry_merge(state, u))
             state = out
 
@@ -401,7 +417,7 @@ class TestPostselectedState:
 
     @staticmethod
     def _check_against_sector_loop(params):
-        closed, p_closed = postselected_state(params)
+        closed, p_closed = expanded(postselected_state(params))
         loop, p_loop = run_pipeline(params)
         assert np.max(np.abs(closed.amplitudes - loop.amplitudes)) <= 1e-12
         assert abs(p_closed - p_loop) <= 1e-12
@@ -422,14 +438,18 @@ class TestPostselectedState:
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_equal_weight_amplitudes_are_bit_identical(self, n, rng):
-        # simulate writes every bitstring of weight k with the amplitude at
-        # index 2^k - 1, so the 2^N entries must hold N+1 bit patterns
+        # simulate writes amplitude k for every bitstring of weight k; the
+        # dense closed form, normalized over all 2^N entries and phased,
+        # must hold exactly those N+1 bit patterns
+        t = build_cascade(n).amplitudes
         for params in (random_params(n, rng), real_params(n, rng),
                        *_degenerate_params(n, rng).values()):
-            state, _ = postselected_state(params)
-            bits = state.amplitudes.view(np.int64).reshape(-1, 2)
-            first = bits[(1 << np.arange(n + 1)) - 1]
-            assert np.array_equal(bits, first[hamming_weights(n)])
+            c = scaled_coefficients_from_params(params).c
+            per_string = c / np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+            dense = QubitStateVector(n, per_string[hamming_weights(n)]).normalized()
+            want = np.prod(t / abs(t)) * dense.amplitudes
+            amplitudes, _ = postselected_state(params)
+            assert want.tobytes() == amplitudes[hamming_weights(n)].tobytes()
 
 
 class TestPostselectedStatePermanents:
@@ -460,13 +480,13 @@ class TestPostselectedStatePermanents:
     @pytest.mark.parametrize("n", range(11, 15))
     def test_patterns_match_permanents(self, n, rng):
         for params in (random_params(n, rng), [random_params(1, rng)[0]] * n):
-            state, p = postselected_state(params)
+            state, p = expanded(postselected_state(params))
             self._check_against_permanents(params, state, p, rng)
 
     def test_sign_flip_of_one_weight_fails(self, rng):
         n = 11
         params = random_params(n, rng)
-        state, p = postselected_state(params)
+        state, p = expanded(postselected_state(params))
         flipped = np.where(hamming_weights(n) == n // 2, -1.0, 1.0) * state.amplitudes
         with pytest.raises(AssertionError):
             self._check_against_permanents(params, QubitStateVector(n, flipped), p, rng)

@@ -14,6 +14,7 @@ from symphot.symmetric import (
     _expansion_weights,
     _majorana_weights,
     _sqrt_binomials,
+    amplitudes_by_weight,
     coefficients_from_params,
     dicke_state,
     hamming_weights,
@@ -228,6 +229,44 @@ class TestOutputState:
             # all strings of equal weight share one amplitude
             ref = out.amplitudes[(1 << hamming_weight(idx)) - 1]
             assert out.amplitudes[idx] == pytest.approx(ref)
+
+
+class TestAmplitudesByWeight:
+    """The N+1 amplitudes against the 2^N-vector formula, rebuilt here, bit for bit."""
+
+    @staticmethod
+    def _dense_reference(coeffs):
+        n = coeffs.n
+        per_string = coeffs.c / np.sqrt([float(comb(n, k)) for k in range(n + 1)])
+        return QubitStateVector(n, per_string[hamming_weights(n)]).normalized()
+
+    @staticmethod
+    def _cases(n, rng):
+        real = np.empty(n + 1, dtype=complex)
+        real.real = rng.normal(size=n + 1)
+        # signed zeros: -0.0 on the odd entries, +0.0 on the even ones
+        real.imag = np.where(np.arange(n + 1) % 2, -0.0, 0.0)
+        (p,) = random_params(1, rng)
+        return (random_coefficients(n, rng), real, scaled_coefficients_from_params([p] * n).c)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_dense_normalization(self, n, rng):
+        for c in self._cases(n, rng):
+            for scale in (1.0, 2.0 ** 500, 2.0 ** -500):
+                # scaled through the float view, which keeps the signed zeros
+                coeffs = SymmetricCoefficients(n, (scale * c.view(float)).view(complex))
+                want = self._dense_reference(coeffs).amplitudes.tobytes()
+                got = amplitudes_by_weight(coeffs)
+                assert got.shape == (n + 1,)
+                assert got[hamming_weights(n)].tobytes() == want
+                assert output_state(coeffs).amplitudes.tobytes() == want
+
+    def test_underflowing_norm_rejected(self):
+        coeffs = SymmetricCoefficients(2, np.array([1e-300, 0, 0], dtype=complex))
+        with pytest.raises(ValueError, match="zero state"):
+            self._dense_reference(coeffs)
+        with pytest.raises(ValueError, match="zero state"):
+            amplitudes_by_weight(coeffs)
 
 
 @pytest.mark.parametrize("n", range(0, 11))
