@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -530,8 +530,10 @@ def main(argv=None) -> int:
             args.tol_root = _env_tolerance(ENV_TOL_ROOT, SYNTHESIS_TOL)
         if args.tol_cluster is None:
             args.tol_cluster = _env_tolerance(ENV_TOL_CLUSTER, slocc.CLUSTER_TOL)
-        if not (args.tol_root > 0 and args.tol_cluster > 0):
-            raise InputError("tolerances must be positive")
+        if not (0 < args.tol_root < inf and 0 < args.tol_cluster < inf):
+            raise InputError("tolerances must be positive and finite")
+        if not args.tol_cluster < 1:
+            raise InputError("the cluster tolerance must be below 1, the largest distance")
         # a numpy overflow, invalid value or division by zero raises
         # FloatingPointError rather than printing a RuntimeWarning
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -172,6 +172,8 @@ class MajoranaPolynomial:
     def roots(self) -> np.ndarray:
         """Companion-matrix eigenvalues, Newton-polished: up to 4 steps per root, each
         taken only if it lowers |p|, over all roots still moving in one Horner sweep.
+        A root stops at |p(z)| <= 1e-12 max|p_k| or at Horner's rounding floor at its z,
+        4K eps sum_j |p_j| |z|^j (Higham 2002, sec. 5.1), below which a step is noise.
 
         The companion matrix is the one ``np.roots`` builds, so the roots are
         its roots bit for bit: the ``lo`` exactly-zero low-order coefficients
@@ -196,9 +198,12 @@ class MajoranaPolynomial:
             z[:m] = np.linalg.eigvals(companion)
         live = np.arange(k)
         fz = np.polyval(hi_first, z)
+        gamma = 4 * k * np.finfo(float).eps
         for _ in range(4):
             afz = np.abs(fz)
             go = ~(afz <= 1e-12 * scale)
+            if go.any():
+                go[go] = ~(afz[go] <= gamma * np.polyval(abs(hi_first), abs(z[live[go]])))
             live, fz, afz = live[go], fz[go], afz[go]
             if not live.size:
                 break

@@ -147,11 +147,15 @@ def polished_roots_scalar(poly):
     raw = np.roots(p[::-1])
     dp = p[1:] * np.arange(1, k + 1)
     scale = float(np.max(np.abs(p)))
+    gamma = 4 * k * np.finfo(float).eps
     polished = []
     for z in raw:
         for _ in range(4):
             fz = np.polyval(p[::-1], z)
             if abs(fz) <= 1e-12 * scale:
+                break
+            # Horner's rounding floor at z: a step below it is noise
+            if abs(fz) <= gamma * np.polyval(np.abs(p[::-1]), abs(z)):
                 break
             dfz = np.polyval(dp[::-1], z)
             if dfz == 0:
@@ -178,12 +182,17 @@ def polished_roots_np(poly):
     hi_first = p[::-1]
     dp = (p[1:] * np.arange(1, k + 1))[::-1]
     scale = float(np.max(np.abs(p)))
+    gamma = 4 * k * np.finfo(float).eps
     z = np.asarray(np.roots(hi_first), dtype=complex)
     live = np.arange(k)
     fz = np.polyval(hi_first, z)
     for _ in range(4):
         afz = np.abs(fz)
         go = ~(afz <= 1e-12 * scale)
+        live, fz, afz = live[go], fz[go], afz[go]
+        if not live.size:
+            break
+        go = ~(afz <= gamma * np.polyval(np.abs(hi_first), np.abs(z[live])))
         live, fz, afz = live[go], fz[go], afz[go]
         if not live.size:
             break

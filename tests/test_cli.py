@@ -389,10 +389,21 @@ class TestClassify:
         assert payload["degeneracy_configuration"] == [1, 1]
 
     @pytest.mark.parametrize("name", [cli.ENV_TOL_ROOT, cli.ENV_TOL_CLUSTER])
-    @pytest.mark.parametrize("value", ["abc", "", "nan", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "", "nan", "-1", "inf"])
     def test_bad_tolerance_env(self, name, value, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(name, value)
         code, _ = run_cli(tmp_path, ["classify"], W_PARAMS)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INPUT
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["1", "1e308"])
+    def test_cluster_tolerance_env_from_one(self, value, tmp_path, capsys, monkeypatch):
+        # projective distances never exceed 1, so every root would merge into one cluster
+        monkeypatch.setenv(cli.ENV_TOL_CLUSTER, value)
+        code, _ = run_cli(tmp_path, ["classify"], GHZ3)
         captured = capsys.readouterr()
         assert code == cli.EXIT_INPUT
         assert captured.out == ""
@@ -610,8 +621,15 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("flag", ["--tol-root", "--tol-cluster"])
     def test_nan_tolerance(self, flag, tmp_path, capsys):
-        code, _ = run_cli(tmp_path, [flag, "nan", "classify"], HV, capsys)
-        assert code == cli.EXIT_INPUT
+        # a cluster tolerance from 1 up would merge every root of GHZ_3 into one
+        values = ["nan", "inf"] + (["1", "1e308"] if flag == "--tol-cluster" else [])
+        for value in values:
+            code, _ = run_cli(tmp_path, [flag, value, "classify"], GHZ3)
+            captured = capsys.readouterr()
+            assert code == cli.EXIT_INPUT
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ")
 
 
 NON_FINITE = ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf")]

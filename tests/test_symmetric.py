@@ -27,6 +27,7 @@ from symphot.symmetric import (
     synthesize,
 )
 
+import oracle
 from conftest import (
     hamming_weight,
     partitions,
@@ -410,6 +411,63 @@ class TestCompanionEigensolve:
     def test_repeated_roots(self, n, rng):
         for partition in partitions(n):
             _assert_roots_match_np(majorana_polynomial(_partition_coefficients(partition, rng)))
+
+
+def _stop_tests(poly, z):
+    """Per root: |p(z)| in floats, the polish's floor 4K eps sum_j |p_j| |z|^j, and
+    whether |p(z)| is above the absolute stop 1e-12 max|p_k|."""
+    k = poly.degree
+    hi = poly.coefficients[: k + 1][::-1]
+    afz = np.abs(np.polyval(hi, z))
+    floor = 4 * k * np.finfo(float).eps * np.polyval(np.abs(hi), np.abs(z))
+    return afz, floor, afz > 1e-12 * np.abs(hi).max()
+
+
+class TestRoundingFloorStop:
+    """The polish retires a root once |p(z)| is at Horner's rounding floor."""
+
+    def test_eigenvalues_at_the_floor_are_not_moved(self, rng):
+        beyond_absolute = 0
+        for n in range(10, 19):
+            for _ in range(6):
+                poly = _random_polynomial(n, rng)
+                raw = np.roots(poly.coefficients[::-1])
+                afz, floor, live = _stop_tests(poly, raw)
+                at_floor = afz <= floor
+                assert poly.roots()[at_floor].tobytes() == raw[at_floor].tobytes()
+                # roots the absolute test alone would have polished
+                beyond_absolute += np.count_nonzero(at_floor & live)
+        assert beyond_absolute >= 30
+
+    def test_eigenvalues_above_the_floor_are_polished(self):
+        # GHZ_N's eigenvalues lose accuracy with N; from N ~ 125 some sit a few
+        # times above the floor, and a Newton step still lowers their |p|
+        above = 0
+        for n in (140, 160, 180, 200):
+            c = np.zeros(n + 1)
+            c[0] = c[n] = 1 / sqrt(2)
+            poly = majorana_polynomial(SymmetricCoefficients(n, c))
+            raw = np.roots(poly.coefficients[::-1])
+            afz, floor, live = _stop_tests(poly, raw)
+            live &= afz > floor
+            assert np.all(poly.roots()[live] != raw[live])
+            above += np.count_nonzero(live)
+        assert above >= 10
+
+    def test_floor_bounds_the_exact_residual(self, rng):
+        polys = [_random_polynomial(n, rng) for n in range(3, 19) for _ in range(6)]
+        polys += [majorana_polynomial(_partition_coefficients(partition, rng))
+                  for partition in [(2, 2, 2, 2, 2), (3, 3, 3, 1), (6, 5, 4), (4, 2, 1, 1)]]
+        stopped = 0
+        for poly in polys:
+            z = poly.roots()
+            afz, floor, live = _stop_tests(poly, z)
+            # every root left at the floor, which includes each root the floor stopped
+            at_floor = live & (afz <= floor)
+            for zi, bound in zip(z[at_floor], floor[at_floor]):
+                assert oracle.polynomial_modulus(poly.coefficients, zi) <= bound
+            stopped += np.count_nonzero(at_floor)
+        assert stopped >= 20
 
 
 class TestSynthesizeRecord:
