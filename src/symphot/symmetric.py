@@ -170,52 +170,27 @@ class MajoranaPolynomial:
         return int(nonzero[-1]) if nonzero.size else 0
 
     def roots(self) -> np.ndarray:
-        """Companion-matrix eigenvalues, Newton-polished: up to 4 steps per root, each
-        taken only if it lowers |p|, over all roots still moving in one Horner sweep.
-        A root stops at |p(z)| <= 1e-12 max|p_k| or at Horner's rounding floor at its z,
-        4K eps sum_j |p_j| |z|^j (Higham 2002, sec. 5.1), below which a step is noise.
+        """The companion-matrix eigenvalues, unpolished: ``np.roots``'s roots bit for bit.
 
-        The companion matrix is the one ``np.roots`` builds, so the roots are
-        its roots bit for bit: the ``lo`` exactly-zero low-order coefficients
-        are exact roots at 0, appended after the eigenvalues.
+        The companion matrix is the one ``np.roots`` builds, so the ``lo``
+        exactly-zero low-order coefficients are exact roots at 0, appended
+        after the eigenvalues.  ``synthesize`` re-expands the roots and checks
+        the round trip, so no separate polish is needed.
         """
         k = self.degree
         if k == 0:
             return np.zeros(0, dtype=complex)
         p = self.coefficients[: k + 1]
-        hi_first = p[::-1]
-        dp = (p[1:] * np.arange(1, k + 1))[::-1]
-        scale = float(abs(p).max())
         # p_k is nonzero, so only low-order coefficients can be stripped
         lo = int(p.nonzero()[0][0])
         m = k - lo
         z = np.zeros(k, dtype=complex)
         if m:
-            hi = hi_first[: k + 1 - lo]
+            hi = p[lo:][::-1]
             companion = np.zeros((m, m), dtype=complex)
             companion.flat[m :: m + 1] = 1.0
             companion[0] = -hi[1:] / hi[0]
             z[:m] = np.linalg.eigvals(companion)
-        live = np.arange(k)
-        fz = np.polyval(hi_first, z)
-        gamma = 4 * k * np.finfo(float).eps
-        for _ in range(4):
-            afz = np.abs(fz)
-            go = ~(afz <= 1e-12 * scale)
-            if go.any():
-                go[go] = ~(afz[go] <= gamma * np.polyval(abs(hi_first), abs(z[live[go]])))
-            live, fz, afz = live[go], fz[go], afz[go]
-            if not live.size:
-                break
-            dfz = np.polyval(dp, z[live])
-            go = dfz != 0
-            live, fz, afz, dfz = live[go], fz[go], afz[go], dfz[go]
-            moved = z[live] - fz / dfz
-            # an accepted step's p(moved) is the next pass's p(z)
-            f_moved = np.polyval(hi_first, moved)
-            go = np.abs(f_moved) < afz
-            live, fz = live[go], f_moved[go]
-            z[live] = moved[go]
         return z
 
 

@@ -135,78 +135,6 @@ def apply_mode_isometry_merge(state, matrix):
     return FockVector(matrix.shape[0], merged)
 
 
-def polished_roots_scalar(poly):
-    """Reference root polish: Newton steps one root at a time.
-
-    Returns what ``MajoranaPolynomial.roots`` returns, bit for bit.
-    """
-    k = poly.degree
-    if k == 0:
-        return np.zeros(0, dtype=complex)
-    p = poly.coefficients[: k + 1]
-    raw = np.roots(p[::-1])
-    dp = p[1:] * np.arange(1, k + 1)
-    scale = float(np.max(np.abs(p)))
-    gamma = 4 * k * np.finfo(float).eps
-    polished = []
-    for z in raw:
-        for _ in range(4):
-            fz = np.polyval(p[::-1], z)
-            if abs(fz) <= 1e-12 * scale:
-                break
-            # Horner's rounding floor at z: a step below it is noise
-            if abs(fz) <= gamma * np.polyval(np.abs(p[::-1]), abs(z)):
-                break
-            dfz = np.polyval(dp[::-1], z)
-            if dfz == 0:
-                break
-            step = fz / dfz
-            if abs(np.polyval(p[::-1], z - step)) < abs(fz):
-                z = z - step
-            else:
-                break
-        polished.append(z)
-    return np.asarray(polished, dtype=complex)
-
-
-def polished_roots_np(poly):
-    """Reference root finder: ``np.roots``, then the masked one-sweep polish.
-
-    Returns what ``MajoranaPolynomial.roots`` returns, bit for bit; the
-    library builds the companion matrix of ``np.roots`` itself.
-    """
-    k = poly.degree
-    if k == 0:
-        return np.zeros(0, dtype=complex)
-    p = poly.coefficients[: k + 1]
-    hi_first = p[::-1]
-    dp = (p[1:] * np.arange(1, k + 1))[::-1]
-    scale = float(np.max(np.abs(p)))
-    gamma = 4 * k * np.finfo(float).eps
-    z = np.asarray(np.roots(hi_first), dtype=complex)
-    live = np.arange(k)
-    fz = np.polyval(hi_first, z)
-    for _ in range(4):
-        afz = np.abs(fz)
-        go = ~(afz <= 1e-12 * scale)
-        live, fz, afz = live[go], fz[go], afz[go]
-        if not live.size:
-            break
-        go = ~(afz <= gamma * np.polyval(np.abs(hi_first), np.abs(z[live])))
-        live, fz, afz = live[go], fz[go], afz[go]
-        if not live.size:
-            break
-        dfz = np.polyval(dp, z[live])
-        go = dfz != 0
-        live, fz, afz, dfz = live[go], fz[go], afz[go], dfz[go]
-        moved = z[live] - fz / dfz
-        f_moved = np.polyval(hi_first, moved)
-        go = np.abs(f_moved) < afz
-        live, fz = live[go], f_moved[go]
-        z[live] = moved[go]
-    return z
-
-
 def partitions(n, largest=None):
     """Every partition of n into positive parts, largest part first."""
     if n == 0:

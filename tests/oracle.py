@@ -50,12 +50,6 @@ def tuple_sum_ck(params: Sequence[PolarizationAmplitude], k: int) -> mp.mpc:
     return mp.sqrt(comb(n, k)) * total
 
 
-def polynomial_modulus(coefficients: Sequence[complex], z: complex) -> mp.mpf:
-    """|p_0 + p_1 z + ... + p_K z^K| at a float z, evaluated in 40 digits
-    from the float coefficients taken as exact."""
-    return abs(mp.polyval([_mpc(complex(c)) for c in coefficients[::-1]], _mpc(complex(z))))
-
-
 def expand_product(factors: Sequence[Sequence[tuple]], modes: int) -> FockVector:
     """Apply a product of creation-operator polynomials to the vacuum, literally.
 

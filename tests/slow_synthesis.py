@@ -40,9 +40,9 @@ def _dicke_half(n):
     return np.eye(n + 1)[n // 2]
 
 
-# bug 2 (GHZ) and fault 3 (Gaussian) of ROADMAP item 2 give the exits 3
+# bug 2 of ROADMAP item 2 (GHZ) gives the exits 3
 EXPECTED = {
-    _gaussian: (0, 3, 3, 3),
+    _gaussian: (0, 0, 0, 0),
     _ghz: (0, 3, 3, 0),
     _w: (0, 0, 0, 0),
     _dicke_half: (0, 0, 0, 0),

@@ -930,9 +930,9 @@ class TestLargeNThroughModule:
 class TestLargeNSynthesis:
     """Gaussian Dicke coefficients through ``python -m symphot synthesize`` at
     the default tolerance.  The degree cutoff is judged on |c_k|, so real
-    leading coefficients are not cut at N = 100 and 150."""
+    leading coefficients are not cut at N = 100, 150 and 200."""
 
-    @pytest.mark.parametrize("n", (100, 150))
+    @pytest.mark.parametrize("n", (100, 150, 200))
     def test_exit_0(self, n):
         doc = _coeff_doc(n, random_coefficients(n, np.random.default_rng(n)))
         proc = run_module(["synthesize", "-"], doc)
@@ -941,16 +941,6 @@ class TestLargeNSynthesis:
         payload = json.loads(proc.stdout)
         assert payload["N"] == n
         assert payload["round_trip_fidelity"] >= 1 - 1e-9
-
-    def test_n200_still_one_error_line(self):
-        # the Newton polish overflows at large |z| (ROADMAP 2, fault 3): exit 3
-        # with one error line until that is fixed
-        doc = _coeff_doc(200, random_coefficients(200, np.random.default_rng(200)))
-        proc = run_module(["synthesize", "-"], doc)
-        assert proc.returncode == cli.EXIT_NUMERICAL
-        assert proc.stdout == ""
-        (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: ")
 
 
 class TestSymmetricSubspaceOnly:

@@ -27,13 +27,10 @@ from symphot.symmetric import (
     synthesize,
 )
 
-import oracle
 from conftest import (
     hamming_weight,
     partitions,
     perturb_round_trip,
-    polished_roots_np,
-    polished_roots_scalar,
     random_coefficients,
     random_params,
 )
@@ -325,45 +322,10 @@ def _partition_coefficients(partition, rng):
     return coefficients_from_params(params)
 
 
-def _assert_polish_matches_scalar(coeffs):
-    poly = majorana_polynomial(coeffs)
-    got, want = poly.roots(), polished_roots_scalar(poly)
-    assert got.dtype == want.dtype == complex
-    assert got.tobytes() == want.tobytes()
-
-
-class TestRootPolish:
-    """The one-sweep polish returns the per-root loop's roots bit for bit."""
-
-    def test_random(self, rng):
-        for n in range(1, 41):
-            for _ in range(5):
-                _assert_polish_matches_scalar(SymmetricCoefficients(n, random_coefficients(n, rng)))
-
-    @pytest.mark.parametrize("partition", [
-        (2,), (3,), (2, 1), (3, 1), (2, 2), (4, 2, 1, 1), (5, 3), (6, 1, 1),
-        (6, 6), (6, 5, 4), (3, 3, 3, 1), (2, 2, 2, 2, 2),
-    ])
-    def test_repeated_roots(self, partition, rng):
-        for _ in range(5):
-            _assert_polish_matches_scalar(_partition_coefficients(partition, rng))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-    def test_roots_at_zero(self, n):
-        # W_N has one root at 0; D_N^k has k; a V photon adds one
-        for k in range(1, n + 1):
-            _assert_polish_matches_scalar(SymmetricCoefficients(n, np.eye(n + 1)[k]))
-        _assert_polish_matches_scalar(coefficients_from_params([VPOL, VPOL] + [HPOL] * n))
-
-    @pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 140])
-    def test_ghz(self, n):
-        c = np.zeros(n + 1)
-        c[0] = c[n] = 1 / sqrt(2)
-        _assert_polish_matches_scalar(SymmetricCoefficients(n, c))
-
-
 def _assert_roots_match_np(poly):
-    got, want = poly.roots(), polished_roots_np(poly)
+    k = poly.degree
+    want = np.roots(poly.coefficients[: k + 1][::-1]).astype(complex)
+    got = poly.roots()
     assert got.dtype == want.dtype == complex
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -380,6 +342,8 @@ class TestCompanionEigensolve:
         for n in range(1, 41):
             for _ in range(5):
                 _assert_roots_match_np(_random_polynomial(n, rng))
+                coeffs = SymmetricCoefficients(n, random_coefficients(n, rng))
+                _assert_roots_match_np(majorana_polynomial(coeffs))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 40])
     def test_roots_at_zero(self, n, rng):
@@ -412,62 +376,24 @@ class TestCompanionEigensolve:
         for partition in partitions(n):
             _assert_roots_match_np(majorana_polynomial(_partition_coefficients(partition, rng)))
 
+    @pytest.mark.parametrize("partition", [(6, 6), (6, 5, 4), (3, 3, 3, 1), (2, 2, 2, 2, 2)],
+                             ids=lambda partition: "-".join(map(str, partition)))
+    def test_repeated_roots_above_n8(self, partition, rng):
+        for _ in range(5):
+            _assert_roots_match_np(majorana_polynomial(_partition_coefficients(partition, rng)))
 
-def _stop_tests(poly, z):
-    """Per root: |p(z)| in floats, the polish's floor 4K eps sum_j |p_j| |z|^j, and
-    whether |p(z)| is above the absolute stop 1e-12 max|p_k|."""
-    k = poly.degree
-    hi = poly.coefficients[: k + 1][::-1]
-    afz = np.abs(np.polyval(hi, z))
-    floor = 4 * k * np.finfo(float).eps * np.polyval(np.abs(hi), np.abs(z))
-    return afz, floor, afz > 1e-12 * np.abs(hi).max()
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_dicke_roots_at_zero(self, n):
+        # W_N has one root at 0; D_N^k has k; a V photon adds one
+        for k in range(1, n + 1):
+            _assert_roots_match_np(majorana_polynomial(SymmetricCoefficients(n, np.eye(n + 1)[k])))
+        _assert_roots_match_np(majorana_polynomial(coefficients_from_params([VPOL, VPOL] + [HPOL] * n)))
 
-
-class TestRoundingFloorStop:
-    """The polish retires a root once |p(z)| is at Horner's rounding floor."""
-
-    def test_eigenvalues_at_the_floor_are_not_moved(self, rng):
-        beyond_absolute = 0
-        for n in range(10, 19):
-            for _ in range(6):
-                poly = _random_polynomial(n, rng)
-                raw = np.roots(poly.coefficients[::-1])
-                afz, floor, live = _stop_tests(poly, raw)
-                at_floor = afz <= floor
-                assert poly.roots()[at_floor].tobytes() == raw[at_floor].tobytes()
-                # roots the absolute test alone would have polished
-                beyond_absolute += np.count_nonzero(at_floor & live)
-        assert beyond_absolute >= 30
-
-    def test_eigenvalues_above_the_floor_are_polished(self):
-        # GHZ_N's eigenvalues lose accuracy with N; from N ~ 125 some sit a few
-        # times above the floor, and a Newton step still lowers their |p|
-        above = 0
-        for n in (140, 160, 180, 200):
-            c = np.zeros(n + 1)
-            c[0] = c[n] = 1 / sqrt(2)
-            poly = majorana_polynomial(SymmetricCoefficients(n, c))
-            raw = np.roots(poly.coefficients[::-1])
-            afz, floor, live = _stop_tests(poly, raw)
-            live &= afz > floor
-            assert np.all(poly.roots()[live] != raw[live])
-            above += np.count_nonzero(live)
-        assert above >= 10
-
-    def test_floor_bounds_the_exact_residual(self, rng):
-        polys = [_random_polynomial(n, rng) for n in range(3, 19) for _ in range(6)]
-        polys += [majorana_polynomial(_partition_coefficients(partition, rng))
-                  for partition in [(2, 2, 2, 2, 2), (3, 3, 3, 1), (6, 5, 4), (4, 2, 1, 1)]]
-        stopped = 0
-        for poly in polys:
-            z = poly.roots()
-            afz, floor, live = _stop_tests(poly, z)
-            # every root left at the floor, which includes each root the floor stopped
-            at_floor = live & (afz <= floor)
-            for zi, bound in zip(z[at_floor], floor[at_floor]):
-                assert oracle.polynomial_modulus(poly.coefficients, zi) <= bound
-            stopped += np.count_nonzero(at_floor)
-        assert stopped >= 20
+    @pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 140])
+    def test_ghz(self, n):
+        c = np.zeros(n + 1)
+        c[0] = c[n] = 1 / sqrt(2)
+        _assert_roots_match_np(majorana_polynomial(SymmetricCoefficients(n, c)))
 
 
 class TestSynthesizeRecord:
