@@ -342,6 +342,10 @@ class TestCompanionEigensolve:
         for n in range(1, 41):
             for _ in range(5):
                 _assert_roots_match_np(_random_polynomial(n, rng))
+
+    def test_random_states(self, rng):
+        for n in range(1, 41):
+            for _ in range(5):
                 coeffs = SymmetricCoefficients(n, random_coefficients(n, rng))
                 _assert_roots_match_np(majorana_polynomial(coeffs))
 
@@ -376,9 +380,11 @@ class TestCompanionEigensolve:
         for partition in partitions(n):
             _assert_roots_match_np(majorana_polynomial(_partition_coefficients(partition, rng)))
 
-    @pytest.mark.parametrize("partition", [(6, 6), (6, 5, 4), (3, 3, 3, 1), (2, 2, 2, 2, 2)],
-                             ids=lambda partition: "-".join(map(str, partition)))
-    def test_repeated_roots_above_n8(self, partition, rng):
+    @pytest.mark.parametrize("partition", [
+        (2,), (3,), (2, 1), (3, 1), (2, 2), (4, 2, 1, 1), (5, 3), (6, 1, 1),
+        (6, 6), (6, 5, 4), (3, 3, 3, 1), (2, 2, 2, 2, 2),
+    ], ids=lambda partition: "-".join(map(str, partition)))
+    def test_repeated_root_partitions(self, partition, rng):
         for _ in range(5):
             _assert_roots_match_np(majorana_polynomial(_partition_coefficients(partition, rng)))
 
