@@ -74,7 +74,7 @@ class FockVector:
     into one after it is built.
     """
 
-    __slots__ = ("modes", "_index", "_values")
+    __slots__ = ("modes", "_index", "_values", "__weakref__")
 
     def __init__(self, modes: int, amplitudes: Mapping[OccupationState, complex] | None = None):
         if modes < 0:

@@ -7,6 +7,7 @@ single-photon amplitude into every output equal to 1/sqrt(N).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -137,24 +138,33 @@ def _one_per_mode_keys(n: int) -> tuple:
     return tuple(keys)
 
 
+#: Per state, the positions of its one-per-mode terms and their qubit indices.
+_GATHER = weakref.WeakKeyDictionary()
+
+
 def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]:
     """Project onto exactly one photon (either polarization) per spatial mode.
 
     Returns the renormalized projection as polarization qubits and the success
-    probability relative to the squared norm of ``state``.  The 2^n
-    one-per-mode keys are looked up in the key index rather than found by a
-    scan, so the cost is O(2^n) lookups whatever the number of terms in
-    ``state``; one gather then reads their amplitudes.
+    probability relative to the squared norm of ``state``.  The positions of
+    the one-per-mode terms are found once per state, by 2^n lookups in the
+    key index whatever the number of terms, and kept while the state lives
+    (a vector never changes); each call then reads their amplitudes with one
+    gather.
     """
     total = state.norm_squared()
     if total == 0.0:
         raise ValueError("cannot post-select the zero vector")
     n = state.modes
-    pos = np.fromiter(map(state._index.get, _one_per_mode_keys(n), repeat(-1)),
-                      dtype=np.intp, count=2 ** n)
-    # a missing key's -1 reads the last stored term, which is then zeroed
-    sel = state._values[pos]
-    sel[pos < 0] = 0.0
+    gather = _GATHER.get(state)
+    if gather is None:
+        pos = np.fromiter(map(state._index.get, _one_per_mode_keys(n), repeat(-1)),
+                          dtype=np.intp, count=2 ** n)
+        found = np.flatnonzero(pos >= 0)
+        gather = _GATHER[state] = (pos[found], found)
+    pos, qubit = gather
+    sel = np.zeros(2 ** n, dtype=complex)
+    sel[qubit] = state._values[pos]
     return _qubits(n, sel, total)
 
 

@@ -68,18 +68,45 @@ def _check_kind(kind: str) -> int:
     raise ValueError(f"kind must be {PSI_MINUS!r} or {PSI_PLUS!r}, got {kind!r}")
 
 
+def _checked_pair(n: int, kind: str) -> int:
+    """Position of ``kind`` in a cached (psi+, psi-) pair; call it before reading the cache.
+
+    The kind is checked first, then that there is at least one pair source.
+    """
+    sign = _check_kind(kind)
+    if n < 1:
+        raise ValueError("need at least one pair source")
+    return int(sign < 0)
+
+
+def _with_minus(plus: FockVector, first_b: int) -> tuple[FockVector, FockVector]:
+    """(psi+, psi-) from the psi+ state of pair sources whose b modes start at ``first_b``.
+
+    A pair factor's sign rides on its b_H branch, so the psi- state is the
+    psi+ state times (-1)^(number of H photons in the b modes), term by term,
+    and shares its key index.
+    """
+    signs = [(-1) ** sum(key[2 * first_b::2]) for key in plus.keys()]
+    return plus, plus.scaled(np.array(signs))
+
+
 def ncl_joint_state(n: int, kind: str = PSI_MINUS) -> FockVector:
     """First-order emission of N non-collinear pair sources sharing mode a.
 
     The product of N Bell-pair factors has squared norm (N+1)!; the returned
     state is divided by sqrt((N+1)!) and its unit norm is asserted rather than
-    assumed.
+    assumed.  Both kinds are cached per N and share one key index; do not
+    modify them.
     """
-    sign = _check_kind(kind)
-    if n < 1:
-        raise ValueError("need at least one pair source")
+    which = _checked_pair(n, kind)
+    return _ncl_pair(n)[which]
+
+
+@lru_cache(maxsize=8)
+def _ncl_pair(n: int) -> tuple[FockVector, FockVector]:
+    """``ncl_joint_state(n, kind)`` for psi+ and psi-, in that order."""
     s = 1.0 / sqrt(2.0)
-    state = apply_operator(vacuum(n + 1), *([(s, ((0, H), (i, V))), (sign * s, ((0, V), (i, H)))]
+    state = apply_operator(vacuum(n + 1), *([(s, ((0, H), (i, V))), (s, ((0, V), (i, H)))]
                                             for i in range(1, n + 1)))
     # state currently = product / 2^{N/2}; rescale to product / sqrt((N+1)!)
     unnormalized_nsq = state.norm_squared() * 2 ** n
@@ -87,7 +114,7 @@ def ncl_joint_state(n: int, kind: str = PSI_MINUS) -> FockVector:
         raise AssertionError(
             f"joint-state norm check failed: {unnormalized_nsq} != {factorial(n + 1)}"
         )
-    return state.scaled(sqrt(2 ** n / factorial(n + 1)))
+    return _with_minus(state.scaled(sqrt(2 ** n / factorial(n + 1))), 1)
 
 
 def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MINUS) -> FockVector:
@@ -95,13 +122,28 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
 
     One photon per b_i, polarized orthogonally to the desired epsilon_i:
     (alpha_i* b_V^dag - beta_i* b_H^dag) for the psi- sources, with the sign
-    flipped for psi+ to compensate the sources' relative phase.
+    flipped for psi+ to compensate the sources' relative phase.  The 2^N
+    products are those ``apply_operator`` forms, in its term order (V before
+    H, mode 0 first), on a key index cached per N.
     """
     sign = _check_kind(kind)
     params = list(params)
-    return apply_operator(vacuum(len(params)), *(
-        [(p.alpha.conjugate(), ((i, V),)), (sign * p.beta.conjugate(), ((i, H),))]
-        for i, p in enumerate(params)))
+    values = [1 + 0j]
+    for p in params:
+        word = (p.alpha.conjugate(), sign * p.beta.conjugate())
+        # added to 0.0 as _create adds into an empty slot, which makes a
+        # zero component +0.0
+        values = [0.0 + a * c for a in values for c in word]
+    return FockVector._from_index(len(params), _projector_index(len(params)), np.array(values))
+
+
+@lru_cache(maxsize=16)
+def _projector_index(n: int) -> dict:
+    """Key index of ``projector_state`` on n modes, V before H, mode 0 first; never written."""
+    keys = [()]
+    for _ in range(n):
+        keys = [key + mode for key in keys for mode in ((0, 1), (1, 0))]
+    return dict(zip(keys, range(2 ** n)))
 
 
 def project_onto(joint: FockVector, projector: FockVector) -> tuple[FockVector, float]:
@@ -144,25 +186,21 @@ def dicke_2n_construction(n: int, kind: str = PSI_PLUS) -> FockVector:
     fidelity here is 4^N / ((N+1) C(2N,N)) (8/9 at N = 2, 4/5 at N = 3).
     Both kinds are cached per N and share one key index; do not modify them.
     """
-    sign = _check_kind(kind)
-    return _dicke_2n_pair(n)[sign < 0]
+    which = _checked_pair(n, kind)
+    return _dicke_2n_pair(n)[which]
 
 
 @lru_cache(maxsize=8)
 def _dicke_2n_pair(n: int) -> tuple[FockVector, FockVector]:
     """``dicke_2n_construction(n, kind)`` for psi+ and psi-, in that order.
 
-    A pair factor's sign rides on its b_H branch, and the isometry leaves the
-    B modes alone, so the psi- state is the psi+ state times (-1)^(number of
-    H photons in B), term by term.
+    The isometry leaves the B modes alone, so the sign rule of the joint
+    state carries over to B.
     """
-    joint = ncl_joint_state(n, PSI_PLUS)
     iso = np.zeros((2 * n, n + 1), dtype=complex)
     iso[:n, 0] = build_cascade(n).amplitudes
     iso[n:, 1:] = np.eye(n)
-    plus = apply_mode_isometry(joint, iso)
-    signs = [(-1) ** sum(key[2 * n::2]) for key in plus.keys()]
-    return plus, plus.scaled(np.array(signs))
+    return _with_minus(apply_mode_isometry(_ncl_pair(n)[0], iso), n)
 
 
 def cl_input_state(n: int) -> FockVector:

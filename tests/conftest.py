@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from symphot import symmetric
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
-from symphot.fock import FockVector, PolarizationAmplitude
+from symphot.fock import H, V, FockVector, PolarizationAmplitude, apply_operator, vacuum
 from symphot.multiport import _expand_basis_state, _qubits
 from symphot.schemes import SourceRates
 from symphot.symmetric import SymmetricCoefficients, dicke_state
@@ -70,6 +70,30 @@ def pair_source_schmidt_amplitudes(n, sign):
         for k, w in enumerate(weights)
     )
     return amps / sqrt(sum(w * w for w in weights))
+
+
+def ncl_joint_state_direct(n, kind):
+    """Reference joint state: the pair factors of ``kind`` themselves, each
+    sign on its b_H branch, through ``apply_operator``.
+
+    Returns what ``schemes.ncl_joint_state`` returns, items and bytes included.
+    """
+    s = 1.0 / sqrt(2.0)
+    sign = -1 if kind == "psi-" else 1
+    state = apply_operator(vacuum(n + 1), *([(s, ((0, H), (i, V))), (sign * s, ((0, V), (i, H)))]
+                                            for i in range(1, n + 1)))
+    return state.scaled(sqrt(2 ** n / factorial(n + 1)))
+
+
+def projector_state_direct(params, kind):
+    """Reference projector: one ``apply_operator`` word per b mode.
+
+    Returns what ``schemes.projector_state`` returns, items and bytes included.
+    """
+    sign = -1 if kind == "psi-" else 1
+    return apply_operator(vacuum(len(params)), *(
+        [(p.alpha.conjugate(), ((i, V),)), (sign * p.beta.conjugate(), ((i, H),))]
+        for i, p in enumerate(params)))
 
 
 def round_floats_walk(v):

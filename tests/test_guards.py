@@ -28,6 +28,14 @@ GUARDS = {
     "probability-zero-modes": (lambda: postselection_probability(0),
                                "mode count must be at least 1"),
     "ncl-no-sources": (lambda: schemes.ncl_joint_state(0), "need at least one pair source"),
+    "dicke-2n-no-sources": (lambda: schemes.dicke_2n_construction(0),
+                            "need at least one pair source"),
+    "dicke-2n-negative-sources": (lambda: schemes.dicke_2n_construction(-1, "psi-"),
+                                  "need at least one pair source"),
+    "projector-bad-kind": (lambda: schemes.projector_state([HPOL], "phi+"),
+                           "kind must be 'psi-' or 'psi+', got 'phi+'"),
+    "dicke-2n-bad-kind": (lambda: schemes.dicke_2n_construction(1, "phi+"),
+                          "kind must be 'psi-' or 'psi+', got 'phi+'"),
     "cl-order-zero": (lambda: schemes.cl_input_state(0), "emission order must be at least 1"),
     "coefficients-zero-photons": (lambda: SymmetricCoefficients(0, np.ones(1)),
                                   "photon number must be positive"),

@@ -36,6 +36,7 @@ from symphot.symmetric import (
 from conftest import (
     apply_mode_isometry_merge,
     glynn_permanent,
+    ncl_joint_state_direct,
     postselect_one_per_mode_scan,
     random_params,
     real_params,
@@ -233,6 +234,25 @@ class TestPostselect:
             assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
             assert p == p_ref
 
+    def test_memo_follows_each_transient_state(self, rng):
+        # each state is dropped before the next is post-selected, so ids
+        # recur; H and V photons, and copies whose pruning builds a new index,
+        # give states at one N different terms, so a memo keyed on id() or
+        # on N alone reads the wrong positions
+        n = 3
+        spec = build_cascade(n)
+        for _ in range(150):
+            params = [(HPOL, VPOL, random_params(1, rng)[0])[rng.integers(3)] for _ in range(n)]
+            state = distribute(product_state(params), spec)
+            keep = rng.random(len(state)) < 0.5
+            keep[rng.integers(len(state))] = True
+            copy = state.scaled(keep * complex(*rng.normal(size=2)))
+            for x in (state, copy):
+                got, p = postselect_one_per_mode(x)
+                ref, p_ref = postselect_one_per_mode_scan(x)
+                assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
+                assert p == p_ref
+
 
 def assert_same_items(got, ref):
     """Same keys in the same order, and bit-identical amplitudes."""
@@ -271,7 +291,7 @@ class TestIsometryPlan:
         iso = np.zeros((2 * n, n + 1), dtype=complex)
         iso[:n, 0] = build_cascade(n).amplitudes
         iso[n:, 1:] = np.eye(n)
-        want = apply_mode_isometry_merge(schemes.ncl_joint_state(n, kind), iso)
+        want = apply_mode_isometry_merge(ncl_joint_state_direct(n, kind), iso)
         assert_same_items(schemes.dicke_2n_construction(n, kind), want)
 
     @pytest.mark.parametrize("n", range(1, 6))

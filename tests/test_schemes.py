@@ -5,6 +5,7 @@ import pytest
 
 from symphot.fock import (
     H,
+    PRUNE_TOL,
     V,
     FockVector,
     PolarizationAmplitude,
@@ -28,7 +29,14 @@ from symphot.schemes import (
 from symphot.multiport import build_cascade, distribute
 from symphot.symmetric import dicke_state, normalization_squared
 
-from conftest import closed_form_rates, pair_source_schmidt_amplitudes, random_params
+from conftest import (
+    closed_form_rates,
+    items_bytes,
+    ncl_joint_state_direct,
+    pair_source_schmidt_amplitudes,
+    projector_state_direct,
+    random_params,
+)
 
 HPOL = PolarizationAmplitude.horizontal()
 VPOL = PolarizationAmplitude.vertical()
@@ -131,8 +139,55 @@ class TestJointState:
             bare = first + second.scaled(-1.0)
         assert bare.norm_squared() == pytest.approx(factorial(n + 1), rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cached_pair_matches_direct_build(self, n):
+        # psi- is psi+ with the sign rule, on psi+'s key index; both equal
+        # the pair factors of their kind run through apply_operator
+        plus, minus = ncl_joint_state(n, PSI_PLUS), ncl_joint_state(n, PSI_MINUS)
+        assert ncl_joint_state(n, PSI_PLUS) is plus
+        assert ncl_joint_state(n, PSI_MINUS) is minus
+        assert minus._index is plus._index
+        for state, kind in ((plus, PSI_PLUS), (minus, PSI_MINUS)):
+            with pytest.raises(ValueError):
+                state._values[0] = 0.0
+            want = ncl_joint_state_direct(n, kind)
+            assert items_bytes(state) == items_bytes(want)
+            assert state.norm_squared() == want.norm_squared()
+
+
+def projector_params(n, rng):
+    """Random, H, V and below-PRUNE_TOL polarizations, one drawn per photon."""
+    tiny = 0.3 * PRUNE_TOL
+    choices = [
+        lambda: random_params(1, rng)[0],
+        PolarizationAmplitude.horizontal,
+        PolarizationAmplitude.vertical,
+        lambda: PolarizationAmplitude.from_unnormalized(tiny * complex(*rng.normal(size=2)), 1.0),
+        lambda: PolarizationAmplitude.from_unnormalized(1.0, tiny * complex(*rng.normal(size=2))),
+        # a purely imaginary alpha gives products with a zero real part
+        lambda: PolarizationAmplitude.from_unnormalized(1j * rng.normal(), rng.normal()),
+    ]
+    return [choices[rng.integers(len(choices))]() for _ in range(n)]
+
 
 class TestProjector:
+    @pytest.mark.parametrize("kind", [PSI_MINUS, PSI_PLUS])
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_apply_operator(self, n, kind, rng):
+        # items, their order and bytes, the norm and the heralding against
+        # the cached joint state: all as the apply_operator builds give them
+        for _ in range(6):
+            params = projector_params(n, rng)
+            got, want = projector_state(params, kind), projector_state_direct(params, kind)
+            assert items_bytes(got) == items_bytes(want)
+            assert got.norm_squared() == want.norm_squared()
+            if n == 0:
+                continue
+            residual, p = project_onto(ncl_joint_state(n, kind), got)
+            ref, p_ref = project_onto(ncl_joint_state_direct(n, kind), want)
+            assert items_bytes(residual) == items_bytes(ref)
+            assert p == p_ref
+
     def test_h_param(self):
         proj = projector_state([HPOL])
         assert proj.amplitude((0, 1)) == pytest.approx(1.0)
