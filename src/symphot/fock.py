@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Mapping
 
@@ -70,8 +71,10 @@ class FockVector:
     Immutable after construction.  Keys are flat tuples of length ``2 * modes``
     holding ``(n_H, n_V)`` per spatial mode.  The terms are stored as an index,
     a dict from key to position in term order, and a read-only complex array
-    of values.  An index may be shared between vectors, so nothing writes
-    into one after it is built.
+    of values; both constructors drop every term with ``np.abs(a) <=
+    PRUNE_TOL`` by the one rule in ``_store``.  An index may be shared between
+    vectors, so nothing writes into one after it is built, and no other
+    module reads the storage.
     """
 
     __slots__ = ("modes", "_index", "_values", "__weakref__")
@@ -79,22 +82,16 @@ class FockVector:
     def __init__(self, modes: int, amplitudes: Mapping[OccupationState, complex] | None = None):
         if modes < 0:
             raise ValueError("mode count must be non-negative")
-        index, values = {}, []
-        if amplitudes:
-            width = 2 * modes
-            for key, a in amplitudes.items():
-                if len(key) != width:
-                    raise ValueError(f"key {key} does not match {modes} modes")
-                if abs(a) > PRUNE_TOL:
-                    index[tuple(key)] = len(values)
-                    values.append(complex(a))
-        if len(index) != len(values):
+        amplitudes = amplitudes or {}
+        width = 2 * modes
+        for key in amplitudes:
+            if len(key) != width:
+                raise ValueError(f"key {key} does not match {modes} modes")
+        index = dict(zip(map(tuple, amplitudes), range(len(amplitudes))))
+        if len(index) != len(amplitudes):
             raise ValueError("keys must be distinct as tuples")
-        values = np.fromiter(values, dtype=complex, count=len(values))
-        values.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_values", values)
+        self._store(modes, index, np.fromiter(map(complex, amplitudes.values()),
+                                              dtype=complex, count=len(index)))
 
     @classmethod
     def _from_index(cls, modes: int, index: dict, values: np.ndarray) -> "FockVector":
@@ -107,17 +104,21 @@ class FockVector:
         """
         if values.shape != (len(index),):
             raise ValueError(f"expected {len(index)} values, got shape {values.shape}")
+        out = object.__new__(cls)
+        out._store(modes, index, values)
+        return out
+
+    def _store(self, modes: int, index: dict, values: np.ndarray) -> None:
+        """Prune ``values`` to ``np.abs(a) > PRUNE_TOL``, freeze them and set the slots."""
         keep = np.abs(values) > PRUNE_TOL
         kept = np.count_nonzero(keep)
         if kept < len(index):
             index = dict(zip(compress(index, keep), range(kept)))
             values = values[keep]
         values.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "modes", modes)
-        object.__setattr__(out, "_index", index)
-        object.__setattr__(out, "_values", values)
-        return out
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
@@ -162,6 +163,19 @@ class FockVector:
     def __repr__(self) -> str:
         terms = ", ".join(f"{k}: {a:.6g}" for k, a in sorted(self.items()))
         return f"FockVector(modes={self.modes}, {{{terms}}})"
+
+
+@lru_cache(maxsize=16)
+def one_per_mode_keys(n: int) -> tuple:
+    """The 2^n keys with one photon in each of n modes, (1, 0) for H or (0, 1) for V.
+
+    Extending every key by H then V, mode by mode, lists them in the order of
+    itertools.product: qubit index order, qubit 0 the most significant bit.
+    """
+    keys = [()]
+    for _ in range(n):
+        keys = [key + mode for key in keys for mode in ((1, 0), (0, 1))]
+    return tuple(keys)
 
 
 def vacuum(modes: int) -> FockVector:

@@ -10,13 +10,13 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from math import factorial, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, H, V, PolarizationAmplitude, apply_operator, basis_state
+from .fock import (FockVector, H, V, PolarizationAmplitude, apply_operator, basis_state,
+                   one_per_mode_keys)
 from .symmetric import (
     QubitStateVector,
     amplitudes_by_weight,
@@ -125,47 +125,31 @@ def _qubits(n: int, sel: np.ndarray, total: float) -> tuple[QubitStateVector, fl
     return QubitStateVector(n, sel / sqrt(proj)), proj / total
 
 
-@lru_cache(maxsize=16)
-def _one_per_mode_keys(n: int) -> tuple:
-    """The 2^n keys with one photon in each of n modes, (1, 0) for H or (0, 1) for V.
-
-    Extending every key by H then V, mode by mode, lists them in the order of
-    itertools.product: qubit index order, qubit 0 the most significant bit.
-    """
-    keys = [()]
-    for _ in range(n):
-        keys = [key + mode for key in keys for mode in ((1, 0), (0, 1))]
-    return tuple(keys)
-
-
-#: Per state, the positions of its one-per-mode terms and their qubit indices.
-_GATHER = weakref.WeakKeyDictionary()
+#: Per state, its post-selected (qubits, p); a vector never changes.
+_POSTSELECTED = weakref.WeakKeyDictionary()
 
 
 def postselect_one_per_mode(state: FockVector) -> tuple[QubitStateVector, float]:
     """Project onto exactly one photon (either polarization) per spatial mode.
 
     Returns the renormalized projection as polarization qubits and the success
-    probability relative to the squared norm of ``state``.  The positions of
-    the one-per-mode terms are found once per state, by 2^n lookups in the
-    key index whatever the number of terms, and kept while the state lives
-    (a vector never changes); each call then reads their amplitudes with one
-    gather.
+    probability relative to the squared norm of ``state``.  The result is
+    built once per state, from the amplitudes of its 2^n one-per-mode keys
+    whatever the number of terms, and kept while the state lives (a vector
+    never changes); later calls return the same tuple.  Its qubit amplitudes
+    are read-only: the CLI checks, the ``pairs`` benchmark and its checker
+    only read them.
     """
-    total = state.norm_squared()
-    if total == 0.0:
-        raise ValueError("cannot post-select the zero vector")
-    n = state.modes
-    gather = _GATHER.get(state)
-    if gather is None:
-        pos = np.fromiter(map(state._index.get, _one_per_mode_keys(n), repeat(-1)),
-                          dtype=np.intp, count=2 ** n)
-        found = np.flatnonzero(pos >= 0)
-        gather = _GATHER[state] = (pos[found], found)
-    pos, qubit = gather
-    sel = np.zeros(2 ** n, dtype=complex)
-    sel[qubit] = state._values[pos]
-    return _qubits(n, sel, total)
+    result = _POSTSELECTED.get(state)
+    if result is None:
+        total = state.norm_squared()
+        if total == 0.0:
+            raise ValueError("cannot post-select the zero vector")
+        n = state.modes
+        sel = np.fromiter(map(state.amplitude, one_per_mode_keys(n)), dtype=complex, count=2 ** n)
+        result = _POSTSELECTED[state] = _qubits(n, sel, total)
+        result[0].amplitudes.setflags(write=False)
+    return result
 
 
 def run_pipeline(params: Sequence[PolarizationAmplitude]) -> tuple[QubitStateVector, float]:

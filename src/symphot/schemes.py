@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockVector, PolarizationAmplitude, apply_operator, vacuum, H, V
+from .fock import (FockVector, PolarizationAmplitude, apply_operator, one_per_mode_keys, vacuum,
+                   H, V)
 from .multiport import apply_mode_isometry, build_cascade, postselection_probability
 from .symmetric import normalization_squared
 
@@ -124,7 +125,7 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
     (alpha_i* b_V^dag - beta_i* b_H^dag) for the psi- sources, with the sign
     flipped for psi+ to compensate the sources' relative phase.  The 2^N
     products are those ``apply_operator`` forms, in its term order (V before
-    H, mode 0 first), on a key index cached per N.
+    H, mode 0 first): the one-per-mode keys in reverse qubit order.
     """
     sign = _check_kind(kind)
     params = list(params)
@@ -134,16 +135,8 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
         # added to 0.0 as _create adds into an empty slot, which makes a
         # zero component +0.0
         values = [0.0 + a * c for a in values for c in word]
-    return FockVector._from_index(len(params), _projector_index(len(params)), np.array(values))
-
-
-@lru_cache(maxsize=16)
-def _projector_index(n: int) -> dict:
-    """Key index of ``projector_state`` on n modes, V before H, mode 0 first; never written."""
-    keys = [()]
-    for _ in range(n):
-        keys = [key + mode for key in keys for mode in ((0, 1), (1, 0))]
-    return dict(zip(keys, range(2 ** n)))
+    n = len(params)
+    return FockVector(n, dict(zip(one_per_mode_keys(n)[::-1], values)))
 
 
 def project_onto(joint: FockVector, projector: FockVector) -> tuple[FockVector, float]:

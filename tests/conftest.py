@@ -8,9 +8,9 @@ from hypothesis import settings
 from symphot import symmetric
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
 from symphot.fock import H, V, FockVector, PolarizationAmplitude, apply_operator, vacuum
-from symphot.multiport import _expand_basis_state, _qubits
+from symphot.multiport import _expand_basis_state
 from symphot.schemes import SourceRates
-from symphot.symmetric import SymmetricCoefficients, dicke_state
+from symphot.symmetric import QubitStateVector, SymmetricCoefficients, dicke_state
 
 # the same examples on every run, and no per-example deadline: wall times on a
 # loaded machine vary too much for one
@@ -137,7 +137,12 @@ def postselect_one_per_mode_scan(state):
             idx |= nv << (n - 1 - m)
         if ok:
             sel[idx] = amp
-    return _qubits(n, sel, total)
+    # renormalize; a zero projection gives probability 0 and the null state
+    state = QubitStateVector(n, sel)
+    proj = state.norm_squared()
+    if proj == 0.0:
+        return state, 0.0
+    return QubitStateVector(n, sel / sqrt(proj)), proj / total
 
 
 def apply_mode_isometry_merge(state, matrix):

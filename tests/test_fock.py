@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from symphot.fock import (
     apply_creation,
     basis_state,
     inner_product,
+    one_per_mode_keys,
     product_state,
     vacuum,
     H,
@@ -20,7 +22,7 @@ from symphot.fock import (
 from symphot.multiport import postselect_one_per_mode
 from symphot.schemes import PSI_MINUS, PSI_PLUS, dicke_2n_construction
 
-from conftest import items_bytes, random_params
+from conftest import items_bytes, projector_state_direct, random_params
 
 
 def tensor(x, y):
@@ -235,6 +237,25 @@ class TestFockVectorInit:
             with pytest.raises(ValueError):
                 postselect_one_per_mode(state)
 
+    def test_both_constructors_prune_alike(self):
+        # abs and np.abs can differ by one ulp at the boundary, so both
+        # constructors must prune by one rule: abs(z) is exactly 1e-14 for
+        # this z, and np.abs(z) one ulp above it
+        edges = [PRUNE_TOL, np.nextafter(PRUNE_TOL, 0.0), np.nextafter(PRUNE_TOL, 1.0), 5e-324, 0.0]
+        edges += [-t for t in edges]
+        # +0.0 on the other axis, which the product with 1 + 0j keeps
+        axes = [complex(t, 0.0) for t in edges] + [complex(0.0, t) for t in edges]
+        rng = np.random.default_rng(33)
+        # magnitudes within a few ulps of PRUNE_TOL, at every phase
+        phases = np.exp(2j * np.pi * rng.random(3000)) * rng.uniform(1 - 1e-15, 1 + 1e-15, 3000)
+        zs = [7.071067811865476e-15 * (1 + 1j)] + axes + (PRUNE_TOL * phases).tolist()
+        for z in zs:
+            direct = FockVector(1, {(1, 0): z})
+            scaled = FockVector(1, {(1, 0): 1.0}).scaled(z)
+            assert list(direct.items()) == list(scaled.items()), z
+            assert (np.array([a for _, a in direct.items()], dtype=complex).tobytes()
+                    == np.array([a for _, a in scaled.items()], dtype=complex).tobytes()), z
+
     def test_value_count_must_match_index(self):
         with pytest.raises(ValueError):
             FockVector._from_index(1, {(1, 0): 0, (0, 1): 1}, np.ones(3, dtype=complex))
@@ -262,3 +283,16 @@ def test_fock_vector_immutable():
         assert items_bytes(dicke_2n_construction(4, kind)) == want
         with pytest.raises(ValueError):
             x._values[0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_one_per_mode_keys(n, rng):
+    keys = one_per_mode_keys(n)
+    assert list(keys) == [sum(p, ()) for p in itertools.product(((1, 0), (0, 1)), repeat=n)]
+    assert one_per_mode_keys(n) is keys
+    assert one_per_mode_keys.cache_info().maxsize is not None
+    if 1 <= n <= 6:
+        # reversed, they are the V-before-H term order of apply_operator
+        for kind in (PSI_PLUS, PSI_MINUS):
+            direct = projector_state_direct(random_params(n, rng), kind)
+            assert list(direct.keys()) == list(keys[::-1])

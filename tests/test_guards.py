@@ -19,6 +19,9 @@ GUARDS = {
     # range(2) and (0, 1) are distinct dict keys that name the same tuple
     "keys-equal-as-tuples": (lambda: FockVector(1, {range(2): 1.0, (0, 1): 1.0}),
                              "keys must be distinct as tuples"),
+    # whatever their amplitudes: the tiny one is not pruned away first
+    "keys-equal-as-tuples-tiny": (lambda: FockVector(1, {range(2): 1e-20, (0, 1): 1.0}),
+                                  "keys must be distinct as tuples"),
     "add-mode-mismatch": (lambda: FockVector(1) + FockVector(2),
                           "mode-count mismatch in FockVector addition"),
     "normalize-zero-fock": (lambda: FockVector(1).normalized(), "cannot normalize a zero vector"),

@@ -253,6 +253,23 @@ class TestPostselect:
                 assert got.amplitudes.tobytes() == ref.amplitudes.tobytes()
                 assert p == p_ref
 
+    def test_result_kept_per_state_and_read_only(self, rng):
+        state = distribute(product_state(random_params(3, rng)), build_cascade(3))
+        result = postselect_one_per_mode(state)
+        assert postselect_one_per_mode(state) is result
+        qubits, p = result
+        assert not qubits.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            qubits.amplitudes[0] = 0.0
+        # equal terms in a distinct state: a separate result, equal bytes
+        twin_qubits, twin_p = postselect_one_per_mode(FockVector(state.modes, dict(state.items())))
+        assert twin_qubits is not qubits
+        assert twin_qubits.amplitudes.tobytes() == qubits.amplitudes.tobytes() and twin_p == p
+        zero = state.scaled(0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^cannot post-select the zero vector$"):
+                postselect_one_per_mode(zero)
+
 
 def assert_same_items(got, ref):
     """Same keys in the same order, and bit-identical amplitudes."""

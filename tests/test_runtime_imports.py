@@ -39,3 +39,16 @@ def test_no_private_name_crosses_modules():
                 crossings += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
     assert crossings == []
+
+
+def test_fock_storage_stays_in_fock():
+    # only fock builds or reads a FockVector's key index and values; every
+    # other module goes through its public constructor and methods
+    storage = {"_index", "_values", "_from_index", "_store"}
+    touches = []
+    for path in sorted((Path(SRC) / "symphot").glob("*.py")):
+        if path.name != "fock.py":
+            touches += [f"{path.name}:{node.lineno}"
+                        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                        if isinstance(node, ast.Attribute) and node.attr in storage]
+    assert touches == []
