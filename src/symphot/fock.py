@@ -9,6 +9,7 @@ normalized, so unnormalized intermediates compose correctly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -74,10 +75,10 @@ class FockVector:
     of values; both constructors drop every term with ``np.abs(a) <=
     PRUNE_TOL`` by the one rule in ``_store``.  An index may be shared between
     vectors, so nothing writes into one after it is built, and no other
-    module reads the storage.
+    module reads the storage.  The squared norm is kept once computed.
     """
 
-    __slots__ = ("modes", "_index", "_values", "__weakref__")
+    __slots__ = ("modes", "_index", "_values", "_nsq", "__weakref__")
 
     def __init__(self, modes: int, amplitudes: Mapping[OccupationState, complex] | None = None):
         if modes < 0:
@@ -119,6 +120,7 @@ class FockVector:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_nsq", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
@@ -140,7 +142,9 @@ class FockVector:
         # a real reduction over (re, im) pairs, kept off BLAS: np.vdot's
         # threaded zdotc was seen to take milliseconds on 14k terms on a
         # loaded 2-vCPU host
-        return float(np.square(self._values.view(float)).sum())
+        if self._nsq is None:
+            object.__setattr__(self, "_nsq", float(np.square(self._values.view(float)).sum()))
+        return self._nsq
 
     def scaled(self, factor) -> "FockVector":
         """The vector times ``factor``: a number, or one factor per term in term order."""
@@ -176,6 +180,20 @@ def one_per_mode_keys(n: int) -> tuple:
     for _ in range(n):
         keys = [key + mode for key in keys for mode in ((1, 0), (0, 1))]
     return tuple(keys)
+
+
+@lru_cache(maxsize=16)
+def _reversed_key_index(n: int) -> dict:
+    """Key index of ``one_per_mode_keys(n)`` in reverse order."""
+    return dict(zip(one_per_mode_keys(n)[::-1], range(2 ** n)))
+
+
+def one_per_mode_state(n: int, values) -> FockVector:
+    """The n-mode vector with ``values[i]`` on ``one_per_mode_keys(n)[::-1][i]``.
+
+    Every such vector shares one cached key index per n unless pruning drops a term.
+    """
+    return FockVector._from_index(n, _reversed_key_index(n), np.array(values, dtype=complex))
 
 
 def vacuum(modes: int) -> FockVector:
@@ -262,3 +280,38 @@ def inner_product(x: FockVector, y: FockVector) -> complex:
     if len(x) > len(y):
         return sum(y.amplitude(k).conjugate() * a for k, a in x.items()).conjugate()
     return sum(a.conjugate() * y.amplitude(k) for k, a in x.items())
+
+
+#: Per state, how its terms meet the last key index they met, which also fixes
+#: the register: (that index, the terms, their positions in it, head ids, heads).
+_PAIRINGS = weakref.WeakKeyDictionary()
+
+
+def partial_inner_product(x: FockVector, y: FockVector) -> FockVector:
+    """<x| over the trailing ``x.modes`` modes of ``y``, a vector on the leading ones.
+
+    Each term of ``y`` whose trailing part is a key of ``x`` adds conj(x
+    amplitude) * (y amplitude), formed part by part as Python forms a complex
+    product, to its head (leading part), in ``y``'s term order; heads appear
+    in the order of their first such term.  Which terms meet which keys is
+    kept while ``y`` lives and redone only for another key index.
+    """
+    lead = y.modes - x.modes
+    if lead < 1:
+        raise ValueError("projector register must leave at least one leading mode")
+    pairing = _PAIRINGS.get(y)
+    if pairing is None or pairing[0] is not x._index:
+        cut, rows, heads = 2 * lead, [], {}
+        for t, key in enumerate(y._index):
+            i = x._index.get(key[cut:])
+            if i is not None:
+                rows.append((t, i, heads.setdefault(key[:cut], len(heads))))
+        rows = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        rows.setflags(write=False)
+        pairing = _PAIRINGS[y] = (x._index, *rows, heads)
+    _, terms, pos, ids, heads = pairing
+    a, c = y._values[terms], np.conj(x._values[pos])
+    values = np.empty(len(heads), dtype=complex)
+    values.real = np.bincount(ids, c.real * a.real - c.imag * a.imag, len(heads))
+    values.imag = np.bincount(ids, c.real * a.imag + c.imag * a.real, len(heads))
+    return FockVector._from_index(lead, heads, values)

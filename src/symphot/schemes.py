@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (FockVector, PolarizationAmplitude, apply_operator, one_per_mode_keys, vacuum,
-                   H, V)
+from .fock import (FockVector, PolarizationAmplitude, apply_operator, one_per_mode_state,
+                   partial_inner_product, vacuum, H, V)
 from .multiport import apply_mode_isometry, build_cascade, postselection_probability
 from .symmetric import normalization_squared
 
@@ -125,7 +125,8 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
     (alpha_i* b_V^dag - beta_i* b_H^dag) for the psi- sources, with the sign
     flipped for psi+ to compensate the sources' relative phase.  The 2^N
     products are those ``apply_operator`` forms, in its term order (V before
-    H, mode 0 first): the one-per-mode keys in reverse qubit order.
+    H, mode 0 first): the one-per-mode keys in reverse qubit order, whose key
+    index ``fock.one_per_mode_state`` keeps per N.
     """
     sign = _check_kind(kind)
     params = list(params)
@@ -135,8 +136,7 @@ def projector_state(params: Sequence[PolarizationAmplitude], kind: str = PSI_MIN
         # added to 0.0 as _create adds into an empty slot, which makes a
         # zero component +0.0
         values = [0.0 + a * c for a in values for c in word]
-    n = len(params)
-    return FockVector(n, dict(zip(one_per_mode_keys(n)[::-1], values)))
+    return one_per_mode_state(len(params), values)
 
 
 def project_onto(joint: FockVector, projector: FockVector) -> tuple[FockVector, float]:
@@ -144,19 +144,11 @@ def project_onto(joint: FockVector, projector: FockVector) -> tuple[FockVector, 
 
     Returns the residual on the leading modes and the success probability
     (squared norms of residual, joint and projector all accounted for, so
-    unnormalized inputs compose correctly).
+    unnormalized inputs compose correctly).  The residual is
+    ``fock.partial_inner_product(projector, joint)``, which keeps how a joint
+    state's terms meet ``projector_state``'s shared key index per N.
     """
-    m = projector.modes
-    lead = joint.modes - m
-    if lead < 1:
-        raise ValueError("projector register must leave at least one leading mode")
-    residual: dict = {}
-    for key, amp in joint.items():
-        pamp = projector.amplitude(key[2 * lead:])
-        if pamp != 0:
-            head = key[: 2 * lead]
-            residual[head] = residual.get(head, 0.0) + pamp.conjugate() * amp
-    res = FockVector(lead, residual)
+    res = partial_inner_product(projector, joint)
     denom = joint.norm_squared() * projector.norm_squared()
     prob = res.norm_squared() / denom if denom > 0 else 0.0
     return res, prob

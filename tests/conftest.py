@@ -96,6 +96,28 @@ def projector_state_direct(params, kind):
         for i, p in enumerate(params)))
 
 
+def project_onto_loop(joint, projector):
+    """Reference heralding: the dict loop over the joint terms.
+
+    Returns what ``schemes.project_onto`` returns: the residual's keys in
+    term order and its bytes, and the bits of the probability.
+    """
+    m = projector.modes
+    lead = joint.modes - m
+    if lead < 1:
+        raise ValueError("projector register must leave at least one leading mode")
+    residual: dict = {}
+    for key, amp in joint.items():
+        pamp = projector.amplitude(key[2 * lead:])
+        if pamp != 0:
+            head = key[: 2 * lead]
+            residual[head] = residual.get(head, 0.0) + pamp.conjugate() * amp
+    res = FockVector(lead, residual)
+    denom = joint.norm_squared() * projector.norm_squared()
+    prob = res.norm_squared() / denom if denom > 0 else 0.0
+    return res, prob
+
+
 def round_floats_walk(v):
     """Reference rounding: a second pass that rounds every float to 12 digits."""
     if isinstance(v, float):

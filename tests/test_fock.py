@@ -10,9 +10,11 @@ from symphot.fock import (
     FockVector,
     PolarizationAmplitude,
     apply_creation,
+    apply_operator,
     basis_state,
     inner_product,
     one_per_mode_keys,
+    one_per_mode_state,
     product_state,
     vacuum,
     H,
@@ -296,3 +298,49 @@ def test_one_per_mode_keys(n, rng):
         for kind in (PSI_PLUS, PSI_MINUS):
             direct = projector_state_direct(random_params(n, rng), kind)
             assert list(direct.keys()) == list(keys[::-1])
+
+
+def test_one_per_mode_state(rng):
+    # values land on the reversed key table, every such vector shares one
+    # key order, and a zero value is pruned like any other term
+    for n in range(6):
+        values = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        state = one_per_mode_state(n, values.tolist())
+        assert state.modes == n
+        assert list(state.keys()) == list(one_per_mode_keys(n)[::-1])
+        assert np.array([a for _, a in state.items()]).tobytes() == values.tobytes()
+        values[0] = 0.0
+        pruned = one_per_mode_state(n, values)
+        assert list(pruned.keys()) == list(one_per_mode_keys(n)[::-1][1:])
+    with pytest.raises(ValueError):
+        one_per_mode_state(2, [1.0, 2.0])
+
+
+def fresh_norm_squared(state):
+    """The squared norm summed anew from the items, as ``norm_squared`` sums it."""
+    values = np.array([a for _, a in state.items()], dtype=complex)
+    return float(np.square(values.view(float)).sum())
+
+
+NORM_BASE = FockVector(2, {(1, 0, 0, 1): 0.3 + 0.4j, (0, 1, 1, 0): -0.5j, (2, 0, 0, 0): 1e-3})
+NORM_BUILDS = {
+    "init": lambda base: FockVector(2, {(0, 1, 0, 1): 0.6 - 0.2j, (1, 1, 0, 0): 0.1}),
+    "apply_operator": lambda base: apply_operator(base, [(0.7, ((0, H),)), (0.2j, ((1, V),))]),
+    "add": lambda base: base + base.scaled(2j),
+    "scaled-scalar": lambda base: base.scaled(1.5 - 0.5j),
+    "scaled-per-term": lambda base: base.scaled(np.array([1.0, -2.0, 3j])),
+    "scaled-pruning": lambda base: base.scaled(np.array([1.0, 0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("build", NORM_BUILDS.values(), ids=NORM_BUILDS.keys())
+def test_norm_squared_is_kept_and_fresh(build):
+    # the parent's norm is computed first, so a vector that inherited it
+    # would give the parent's bits instead of its own
+    assert NORM_BASE.norm_squared().hex() == fresh_norm_squared(NORM_BASE).hex()
+    state = build(NORM_BASE)
+    want = fresh_norm_squared(state)
+    assert want != NORM_BASE.norm_squared()
+    first, second = state.norm_squared(), state.norm_squared()
+    assert type(first) is float
+    assert first.hex() == second.hex() == want.hex()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from symphot import schemes
-from symphot.fock import FockVector, PolarizationAmplitude, basis_state, inner_product
+from symphot.fock import (FockVector, PolarizationAmplitude, basis_state, inner_product,
+                          partial_inner_product)
 from symphot.multiport import apply_mode_isometry, postselection_probability, run_pipeline
 from symphot.symmetric import QubitStateVector, SymmetricCoefficients, project_qubits
 
@@ -39,6 +40,13 @@ GUARDS = {
                            "kind must be 'psi-' or 'psi+', got 'phi+'"),
     "dicke-2n-bad-kind": (lambda: schemes.dicke_2n_construction(1, "phi+"),
                           "kind must be 'psi-' or 'psi+', got 'phi+'"),
+    "project-onto-no-leading-mode": (
+        lambda: schemes.project_onto(schemes.ncl_joint_state(1),
+                                     schemes.projector_state([HPOL, HPOL])),
+        "projector register must leave at least one leading mode"),
+    "partial-inner-product-no-leading-mode": (
+        lambda: partial_inner_product(basis_state(1, (1, 0)), basis_state(1, (1, 0))),
+        "projector register must leave at least one leading mode"),
     "cl-order-zero": (lambda: schemes.cl_input_state(0), "emission order must be at least 1"),
     "coefficients-zero-photons": (lambda: SymmetricCoefficients(0, np.ones(1)),
                                   "photon number must be positive"),

@@ -42,9 +42,11 @@ def test_no_private_name_crosses_modules():
 
 
 def test_fock_storage_stays_in_fock():
-    # only fock builds or reads a FockVector's key index and values; every
-    # other module goes through its public constructor and methods
-    storage = {"_index", "_values", "_from_index", "_store"}
+    # only fock builds or reads a FockVector's key index, values and kept
+    # norm, its per-N key index and its heralding memo; every other module
+    # goes through its public constructor and functions
+    storage = {"_index", "_values", "_from_index", "_store", "_nsq", "_reversed_key_index",
+               "_PAIRINGS"}
     touches = []
     for path in sorted((Path(SRC) / "symphot").glob("*.py")):
         if path.name != "fock.py":

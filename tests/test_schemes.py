@@ -34,6 +34,7 @@ from conftest import (
     items_bytes,
     ncl_joint_state_direct,
     pair_source_schmidt_amplitudes,
+    project_onto_loop,
     projector_state_direct,
     random_params,
 )
@@ -202,7 +203,48 @@ class TestProjector:
         assert proj.norm_squared() == pytest.approx(1.0)
 
 
+def herald_record(residual, p):
+    """The residual's keys in term order and its bytes, and the bits of p."""
+    items = list(residual.items())
+    return [k for k, _ in items], np.array([a for _, a in items], dtype=complex).tobytes(), p.hex()
+
+
 class TestProjection:
+    @pytest.mark.parametrize("kind", [PSI_MINUS, PSI_PLUS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dict_loop(self, n, kind, rng):
+        # the cached joint state, a direct build with its own index, and a
+        # copy with one term pruned, whose index differs from the cached one;
+        # projectors on every b mode and on all but the first
+        cached = ncl_joint_state(n, kind)
+        mask = np.ones(len(cached))
+        mask[rng.integers(len(cached))] = 0.0
+        joints = [cached, ncl_joint_state_direct(n, kind), cached.scaled(mask)]
+        assert len(joints[2]) == len(cached) - 1
+        for m in sorted({n, max(n - 1, 1)}):
+            for _ in range(8):
+                projector = projector_state(projector_params(m, rng), kind)
+                for joint in joints:
+                    assert (herald_record(*project_onto(joint, projector))
+                            == herald_record(*project_onto_loop(joint, projector)))
+
+    def test_memo_follows_each_transient_state(self, rng):
+        # each joint state is dropped before the next is heralded, so ids
+        # recur; pruned and reordered copies of a cached state give states at
+        # one N different terms or term orders, so a memo keyed on id() alone
+        # pairs a state with another's terms
+        n = 3
+        for _ in range(300):
+            kind = (PSI_MINUS, PSI_PLUS)[rng.integers(2)]
+            items = list(ncl_joint_state(n, kind).items())
+            keep = rng.random(len(items)) < 0.7
+            keep[rng.integers(len(items))] = True
+            joint = FockVector(n + 1, dict(items[i] for i in rng.permutation(len(items))
+                                           if keep[i]))
+            projector = projector_state(random_params(n, rng), kind)
+            assert (herald_record(*project_onto(joint, projector))
+                    == herald_record(*project_onto_loop(joint, projector)))
+
     def test_single_pair(self):
         residual, p = project_onto(ncl_joint_state(1), projector_state([HPOL]))
         assert p == pytest.approx(0.5)
