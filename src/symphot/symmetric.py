@@ -203,19 +203,18 @@ def dicke_state(n: int, k: int) -> QubitStateVector:
 
 
 def _product_polynomial(params: Sequence[PolarizationAmplitude]) -> np.ndarray:
-    """f_k = [z^k] prod_i (alpha_i + beta_i z), k = 0..N, by the
-    elementary-symmetric-polynomial recursion."""
+    """f_k = [z^k] prod_i (alpha_i + beta_i z), k = 0..N, by the elementary-symmetric
+    recursion on Python complex scalars, rounded as numpy's slices are without FMA;
+    the appended 0j makes the top entry alpha*0 + beta*f_last, signed zeros and all."""
     params = list(params)
     if not params:
         raise ValueError("params must be non-empty")
-    n = len(params)
-    f = np.zeros(n + 1, dtype=complex)
-    f[0] = 1.0
-    for i, p in enumerate(params):
-        hi = i + 1
-        f[1 : hi + 1] = p.alpha * f[1 : hi + 1] + p.beta * f[:hi]
-        f[0] *= p.alpha
-    return f
+    f = [1 + 0j]
+    for p in params:
+        a, b = p.alpha, p.beta
+        f.append(0j)
+        f = [a * f[0]] + [a * hi + b * lo for hi, lo in zip(f[1:], f)]
+    return np.array(f)
 
 
 def coefficients_from_params(params: Sequence[PolarizationAmplitude]) -> SymmetricCoefficients:
@@ -244,8 +243,9 @@ def scaled_coefficients_from_params(
 
 def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
     """Squared norm of the unnormalized product state: sum_k |c_k|^2 / N!."""
-    coeffs = coefficients_from_params(params)
-    return float((abs(coeffs.c) ** 2).sum() / factorial(coeffs.n))
+    f = _product_polynomial(params)
+    n = len(f) - 1
+    return float((abs(_expansion_weights(n) * f) ** 2).sum() / factorial(n))
 
 
 def amplitudes_by_weight(coeffs: SymmetricCoefficients) -> np.ndarray:

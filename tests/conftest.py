@@ -40,6 +40,37 @@ def real_params(n, rng):
             for a, b in rng.normal(size=(n, 2))]
 
 
+def product_polynomial_numpy(params):
+    """Reference f_k = [z^k] prod_i (alpha_i + beta_i z): the recursion on
+    numpy slices that ``symmetric._product_polynomial`` replaced.
+
+    Where numpy's complex multiply uses FMA (x86-64 with X86_V3 or above),
+    its last bits differ from Python's complex products.
+    """
+    params = list(params)
+    if not params:
+        raise ValueError("params must be non-empty")
+    n = len(params)
+    f = np.zeros(n + 1, dtype=complex)
+    f[0] = 1.0
+    for i, p in enumerate(params):
+        hi = i + 1
+        f[1 : hi + 1] = p.alpha * f[1 : hi + 1] + p.beta * f[:hi]
+        f[0] *= p.alpha
+    return f
+
+
+def numpy_complex_multiply_matches_python():
+    """Whether numpy's complex scalar-times-array product rounds as Python's does.
+
+    False under numpy's FMA dispatch; ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4"``
+    turns that off on x86-64.
+    """
+    a = complex(0.3, 0.7)
+    x = np.random.default_rng(0).normal(size=(64, 2)) @ np.array([1, 1j])
+    return (a * x).tobytes() == np.array([a * complex(v) for v in x]).tobytes()
+
+
 def perturb_round_trip(monkeypatch):
     """Make synthesis re-expand its params with a 1e-3 error in every c'_k."""
     exact = symmetric.scaled_coefficients_from_params

@@ -1,10 +1,11 @@
 """Large-N synthesis through ``python -m symphot synthesize`` at N = 100..1000.
 
 The grid of ROADMAP item 2: Gaussian Dicke coefficients (seed 200), GHZ_N,
-W_N and D_N^(N/2).  Each case's exit code is pinned as measured, so a change
-in either direction shows; item 2's acceptance is all zeros.  The file name
-keeps it out of the default test run: the module takes about 11 s on a
-2-vCPU x86 host, most of it in the O(N^3) companion eigensolves at N = 1000.
+W_N and D_N^(N/2), and product states with repeated roots at N = 200..300
+(bug 4).  Each case's exit code is pinned as measured, so a change in either
+direction shows; item 2's acceptance is all zeros.  The file name keeps it out
+of the default test run: the module takes about 12 s on a 2-vCPU x86 host,
+most of it in the O(N^3) companion eigensolves at N = 1000.
 Run it with ``python -m pytest tests/slow_synthesis.py``.
 """
 
@@ -16,7 +17,7 @@ import pytest
 
 from symphot import cli
 
-from conftest import random_coefficients
+from conftest import product_polynomial_numpy, random_coefficients, random_params
 from test_cli import _coeff_doc, run_module
 
 GRID = (100, 200, 500, 1000)
@@ -40,20 +41,34 @@ def _dicke_half(n):
     return np.eye(n + 1)[n // 2]
 
 
-# bug 2 of ROADMAP item 2 (GHZ) gives the exits 3
+def _repeated_roots(n):
+    """A product of random photons, each repeated 1 to 4 times, seeded by N.
+
+    The reference expansion builds c_k / N!, so the document does not move
+    with ``symmetric._product_polynomial``.
+    """
+    rng = np.random.default_rng(n)
+    params = []
+    while len(params) < n:
+        params += [random_params(1, rng)[0]] * min(int(rng.integers(1, 5)), n - len(params))
+    return product_polynomial_numpy(params) / np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])
+
+
+# bug 2 of ROADMAP item 2 (GHZ) and bug 4 (repeated roots) give the exits 3
 EXPECTED = {
-    _gaussian: (0, 0, 0, 0),
-    _ghz: (0, 3, 3, 0),
-    _w: (0, 0, 0, 0),
-    _dicke_half: (0, 0, 0, 0),
+    _gaussian: dict(zip(GRID, (0, 0, 0, 0))),
+    _ghz: dict(zip(GRID, (0, 3, 3, 0))),
+    _w: dict(zip(GRID, (0, 0, 0, 0))),
+    _dicke_half: dict(zip(GRID, (0, 0, 0, 0))),
+    _repeated_roots: {200: 0, 241: 0, 255: 3, 266: 3, 282: 3, 294: 3, 296: 3, 300: 0},
 }
 
 
-@pytest.mark.parametrize("n", GRID)
-@pytest.mark.parametrize("state", list(EXPECTED), ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("state, n", [(state, n) for state, row in EXPECTED.items() for n in row],
+                         ids=lambda v: v.__name__.lstrip("_") if callable(v) else str(v))
 def test_exit_codes(state, n):
     proc = run_module(["synthesize", "-"], _coeff_doc(n, state(n)))
-    assert proc.returncode == EXPECTED[state][GRID.index(n)]
+    assert proc.returncode == EXPECTED[state][n]
     if proc.returncode == cli.EXIT_OK:
         assert proc.stderr == ""
         payload = json.loads(proc.stdout)

@@ -13,6 +13,7 @@ from symphot.symmetric import (
     SynthesisError,
     _expansion_weights,
     _majorana_weights,
+    _product_polynomial,
     _sqrt_binomials,
     amplitudes_by_weight,
     coefficients_from_params,
@@ -27,12 +28,16 @@ from symphot.symmetric import (
     synthesize,
 )
 
+import oracle
 from conftest import (
     hamming_weight,
+    numpy_complex_multiply_matches_python,
     partitions,
     perturb_round_trip,
+    product_polynomial_numpy,
     random_coefficients,
     random_params,
+    real_params,
 )
 
 HPOL = PolarizationAmplitude.horizontal()
@@ -76,6 +81,50 @@ class TestDickeState:
         states = [dicke_state(n, k).amplitudes for k in range(n + 1)]
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.max(np.abs(gram - np.eye(n + 1))) < 1e-12
+
+
+def _mixed_params(n, rng, draw):
+    """N photons in random order, each |H>, |V> or one photon from ``draw(1, rng)``."""
+    return [draw(1, rng)[0] if i == 2 else (HPOL, VPOL)[i] for i in rng.integers(3, size=n)]
+
+
+class TestProductPolynomial:
+    """The scalar recursion against ``conftest.product_polynomial_numpy``."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_real_params_byte_equal(self, n, rng):
+        # real factors leave FMA nothing to fuse, so the bytes, signed zeros
+        # included, match under either numpy dispatch
+        for _ in range(5):
+            params = _mixed_params(n, rng, real_params)
+            assert _product_polynomial(params).tobytes() == product_polynomial_numpy(params).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 40, 100, 200])
+    def test_complex_params_within_rounding(self, n, rng):
+        # byte-equal where numpy's complex multiply rounds as Python's does;
+        # under its FMA dispatch, within 2N ulps of the modulus recursion m_k
+        exact = numpy_complex_multiply_matches_python()
+        for _ in range(3):
+            params = _mixed_params(n, rng, random_params)
+            got, want = _product_polynomial(params), product_polynomial_numpy(params)
+            m = product_polynomial_numpy(
+                [PolarizationAmplitude(abs(p.alpha), abs(p.beta)) for p in params]).real
+            assert np.all(abs(got - want) <= 2 * n * np.finfo(float).eps * m)
+            if exact:
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_tuple_sum(self, n, rng):
+        params = _mixed_params(n, rng, random_params)
+        c = coefficients_from_params(params).c
+        # the oracle sums N! tuples in mpmath per k: every k to N = 7, the middle one at 8
+        for k in range(n + 1) if n < 8 else [n // 2]:
+            want = complex(oracle.tuple_sum_ck(params, k))
+            assert c[k] == pytest.approx(want, abs=1e-12 * abs(c).max())
+
+    def test_empty(self):
+        with pytest.raises(ValueError):
+            _product_polynomial([])
 
 
 class TestCoefficients:
@@ -133,6 +182,17 @@ class TestNormalization:
                 assert normalization_squared(params) == pytest.approx(
                     product_state(params).norm_squared(), abs=1e-10
                 )
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_equals_sum_over_coefficients(self, n, rng):
+        # normalization_squared skips SymmetricCoefficients; the bits stay those of c_k
+        p, q = random_params(2, rng)
+        h_and_v = [(HPOL, VPOL)[i] for i in rng.integers(2, size=n)]
+        for params in (random_params(n, rng), h_and_v,
+                       [p] * n, [p] * (n // 2) + [q] * (n - n // 2), [HPOL] * n, [VPOL] * n):
+            c = coefficients_from_params(params).c
+            want = float((abs(c) ** 2).sum() / factorial(n))
+            assert normalization_squared(params).hex() == want.hex()
 
 
 class TestScaledCoefficients:
