@@ -523,9 +523,20 @@ def _env_tolerance(name: str, default: float) -> float:
         raise InputError(f"{name}={raw!r} is not a number") from None
 
 
+@functools.lru_cache(maxsize=64)
+def _parsed(argv: tuple) -> dict:
+    """The parsed arguments of ``argv``; each distinct argv is parsed once.
+
+    Only a successful parse is kept: ``InputError`` and ``--help``'s
+    ``SystemExit`` are raised again on every call.  Every value is immutable
+    or a command function, and ``main`` copies the dict before it writes.
+    """
+    return vars(build_parser().parse_args(argv))
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = argparse.Namespace(**_parsed(tuple(sys.argv[1:] if argv is None else argv)))
         if args.tol_root is None:
             args.tol_root = _env_tolerance(ENV_TOL_ROOT, SYNTHESIS_TOL)
         if args.tol_cluster is None:

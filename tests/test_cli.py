@@ -632,6 +632,96 @@ class TestOutputContract:
             assert line.startswith("error: ")
 
 
+class TestParseMemo:
+    """Each distinct argv is parsed once per process; nothing else is kept."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        cli._parsed.cache_clear()
+
+    @staticmethod
+    def _one_error_line(capsys):
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_env_tolerance_read_after_memo_hit(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(W_PARAMS))
+        argv = ["classify", str(path)]
+        monkeypatch.setenv(cli.ENV_TOL_CLUSTER, "1e-3")
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["class"] == "W"
+        monkeypatch.setenv(cli.ENV_TOL_CLUSTER, "x")
+        assert cli.main(argv) == cli.EXIT_INPUT
+        self._one_error_line(capsys)
+        assert cli._parsed.cache_info().hits == 1
+
+    def test_tolerances_do_not_leak_between_calls(self, monkeypatch, capsys):
+        # main writes the resolved tolerances into its namespace; the next
+        # call must see its own defaults, not the previous call's flags
+        seen = []
+        params_from_coefficients = cli.params_from_coefficients
+        classify_params = cli.slocc.classify_params
+
+        def spy_root(coeffs, tol):
+            seen.append(("root", tol))
+            return params_from_coefficients(coeffs, tol=tol)
+
+        def spy_cluster(params, tol):
+            seen.append(("cluster", tol))
+            return classify_params(params, tol=tol)
+
+        monkeypatch.setattr(cli, "params_from_coefficients", spy_root)
+        monkeypatch.setattr(cli.slocc, "classify_params", spy_cluster)
+        monkeypatch.delenv(cli.ENV_TOL_ROOT, raising=False)
+        monkeypatch.delenv(cli.ENV_TOL_CLUSTER, raising=False)
+        root, cluster = cli.SYNTHESIS_TOL, cli.slocc.CLUSTER_TOL
+        for argv, expected in (
+            (["--tol-root", "1e-3", "classify", "-"], [("root", 1e-3), ("cluster", cluster)]),
+            (["classify", "-"], [("root", root), ("cluster", cluster)]),
+            (["--tol-cluster", "1e-3", "classify", "-"], [("root", root), ("cluster", 1e-3)]),
+            (["--tol-root", "1e-3", "classify", "-"], [("root", 1e-3), ("cluster", cluster)]),
+            (["classify", "-"], [("root", root), ("cluster", cluster)]),
+        ):
+            seen.clear()
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GHZ3)))
+            assert cli.main(argv) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out)["class"] == "GHZ"
+            assert seen == expected
+        assert cli._parsed.cache_info().hits == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-n", "4", "self-test"],
+        ["identity-check", "2", "nope"],
+    ], ids=["unknown-flag", "bad-choice"])
+    def test_argv_error_repeats(self, argv, capsys):
+        for _ in range(2):
+            assert cli.main(argv) == cli.EXIT_INPUT
+            self._one_error_line(capsys)
+        assert cli._parsed.cache_info().currsize == 0
+
+    def test_help_repeats(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: symphot")
+        assert cli._parsed.cache_info().currsize == 0
+
+    def test_sys_argv_is_the_same_key(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(GHZ3))
+        monkeypatch.setattr("sys.argv", ["symphot", "classify", str(path)])
+        assert cli.main() == cli.EXIT_OK
+        first = capsys.readouterr().out
+        assert cli.main(sys.argv[1:]) == cli.EXIT_OK
+        assert capsys.readouterr().out == first
+        info = cli._parsed.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
 NON_FINITE = ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf")]
 
 

@@ -58,6 +58,20 @@ def test_golden(case):
     assert _mask_residues(stdout) == _mask_residues(case["stdout"])
 
 
+@pytest.mark.parametrize("case", _load(), ids=lambda case: case["name"])
+def test_parse_memo_parity(case):
+    # the first run parses its argv cold, the second reads the parse memo
+    cli._parsed.cache_clear()
+    cold = _run(case)
+    warm = _run(case)
+    info = cli._parsed.cache_info()
+    # a failed parse is not kept, so only a successful one is read back
+    assert info.hits == info.currsize
+    assert cold[0] == warm[0] == case["exit"]
+    assert cold[1] == warm[1]
+    assert _mask_residues(warm[1]) == _mask_residues(case["stdout"])
+
+
 @pytest.mark.parametrize("case", [case for case in _load() if case["argv"][0] == "simulate"],
                          ids=lambda case: case["name"])
 def test_simulate_without_sector_loop(case, monkeypatch):
