@@ -30,6 +30,7 @@ from .symmetric import (
     SYNTHESIS_TOL,
     QubitStateVector,
     SymmetricCoefficients,
+    Synthesis,
     SynthesisError,
     dicke_state,
     hamming_weights,
@@ -162,29 +163,59 @@ def _params_doc(params) -> list:
 # document is a dict, or for ``simulate`` the pieces of its JSON text.
 
 
-def _document(args) -> tuple[str, object, list]:
-    """The command's input document, read and parsed: (kind, payload, warnings)."""
+def _document(args) -> tuple[str, str, object, list]:
+    """The command's input document, read on every call and parsed once per
+    text: (text, kind, payload, warnings)."""
     try:
         if args.input == "-":
-            raw = sys.stdin.read()
+            text = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        doc = json.loads(raw)
+                text = fh.read()
+        kind, payload, warnings = _parsed_document(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input document: {exc}") from exc
+    # a fresh list on every call: rates appends to it
+    return text, kind, payload, list(warnings)
+
+
+@functools.lru_cache(maxsize=1)
+def _parsed_document(text: str) -> tuple[str, object, tuple]:
+    """The validated state document in ``text``: (kind, payload, warnings).
+
+    Kept for the last text only, since consecutive commands share a document;
+    errors are raised again on every call.  Everything returned is immutable:
+    a tuple of params, or coefficients whose array is read-only.
+    """
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     warnings: list = []
     kind, payload = parse_state_document(doc, warnings.append)
-    return kind, payload, warnings
-
-
-def _document_params(kind: str, payload, tol_root: float):
-    """Source parameters of a parsed document, synthesized from its coefficients if needed."""
     if kind == "coefficients":
-        return params_from_coefficients(payload, tol=tol_root)
-    return payload
+        payload.c.setflags(write=False)
+    else:
+        payload = tuple(payload)
+    return kind, payload, tuple(warnings)
+
+
+@functools.lru_cache(maxsize=1)
+def _synthesis(text: str, tol_root: float) -> Synthesis:
+    """``synthesize`` of the coefficient document in ``text``, roots read-only;
+    kept, as ``_parsed_document`` is, for the last (text, tol_root) only."""
+    _, coeffs, _ = _parsed_document(text)
+    result = synthesize(coeffs, tol=tol_root)
+    result.roots.setflags(write=False)
+    return result
+
+
+def _document_params(args) -> tuple[tuple, list]:
+    """The document's source parameters, synthesized from its coefficients if
+    needed, and its warnings."""
+    text, kind, payload, warnings = _document(args)
+    if kind == "coefficients":
+        payload = _synthesis(text, args.tol_root).params
+    return payload, warnings
 
 
 def _class_doc(params, tol_cluster: float, warnings: list) -> dict:
@@ -200,10 +231,10 @@ def _class_doc(params, tol_cluster: float, warnings: list) -> dict:
 
 
 def cmd_synthesize(args) -> tuple[dict, int]:
-    kind, payload, warnings = _document(args)
+    text, kind, _, warnings = _document(args)
     if kind != "coefficients":
         raise InputError("synthesize requires the 'dicke_coefficients' document form")
-    result = synthesize(payload, tol=args.tol_root)
+    result = _synthesis(text, args.tol_root)
     out = _class_doc(result.params, args.tol_cluster, warnings)
     out["majorana_roots"] = _complex_docs(result.roots)
     out["params"] = _params_doc(result.params)
@@ -212,7 +243,7 @@ def cmd_synthesize(args) -> tuple[dict, int]:
 
 
 def cmd_simulate(args) -> tuple[object, int]:
-    kind, params, warnings = _document(args)
+    _, kind, params, warnings = _document(args)
     if kind != "params":
         raise InputError("simulate requires the 'params' document form")
     n = len(params)
@@ -275,14 +306,12 @@ def _spliced(n: int, text: str):
 
 
 def cmd_classify(args) -> tuple[dict, int]:
-    kind, payload, warnings = _document(args)
-    params = _document_params(kind, payload, args.tol_root)
+    params, warnings = _document_params(args)
     return _class_doc(params, args.tol_cluster, warnings), EXIT_OK
 
 
 def cmd_rates(args) -> tuple[dict, int]:
-    kind, payload, warnings = _document(args)
-    params = _document_params(kind, payload, args.tol_root)
+    params, warnings = _document_params(args)
     n = len(params)
     if args.n is not None and args.n != n:
         raise InputError(f"N={args.n} does not match the {n}-photon document")

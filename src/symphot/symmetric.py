@@ -242,10 +242,14 @@ def scaled_coefficients_from_params(
 
 
 def normalization_squared(params: Sequence[PolarizationAmplitude]) -> float:
-    """Squared norm of the unnormalized product state: sum_k |c_k|^2 / N!."""
+    """Squared norm of the unnormalized product state: sum_k |c_k|^2 / N!.
+
+    The squares are taken over the (re, im) parts, as in ``norm_squared``:
+    complex ``abs`` is a hypot whose last bit depends on numpy's CPU dispatch.
+    """
     f = _product_polynomial(params)
     n = len(f) - 1
-    return float((abs(_expansion_weights(n) * f) ** 2).sum() / factorial(n))
+    return float(np.square((_expansion_weights(n) * f).view(float)).sum() / factorial(n))
 
 
 def amplitudes_by_weight(coeffs: SymmetricCoefficients) -> np.ndarray:

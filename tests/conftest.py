@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from symphot import symmetric
+from symphot import cli, symmetric
 from symphot.cli import _random_params as random_params  # noqa: F401  (shared by the test modules)
 from symphot.fock import H, V, FockVector, PolarizationAmplitude, apply_operator, vacuum
 from symphot.multiport import _expand_basis_state
@@ -291,6 +291,19 @@ def closed_form_rates(n, nsq, src=SourceRates()):
         / ((n + 1) * (2 * n) ** n)
     )
     return {"sps": r_sps, "ncl": r_ncl, "cl": r_cl}
+
+
+def clear_cli_memos():
+    """Empty the CLI's memos of parsed command lines, documents and syntheses."""
+    for memo in (cli._parsed, cli._parsed_document, cli._synthesis):
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_cli_memos():
+    # a test that patches the library must not be served an earlier test's
+    # parse or synthesis
+    clear_cli_memos()
 
 
 @pytest.fixture

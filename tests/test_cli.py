@@ -21,6 +21,7 @@ from symphot.symmetric import SynthesisError, coefficients_from_params, hamming_
 
 import oracle
 from conftest import (
+    clear_cli_memos,
     hamming_weight,
     perturb_round_trip,
     random_coefficients,
@@ -633,11 +634,8 @@ class TestOutputContract:
 
 
 class TestParseMemo:
-    """Each distinct argv is parsed once per process; nothing else is kept."""
-
-    @pytest.fixture(autouse=True)
-    def cold_memo(self):
-        cli._parsed.cache_clear()
+    """Each distinct argv is parsed once per process; nothing else of the
+    command line is kept."""
 
     @staticmethod
     def _one_error_line(capsys):
@@ -662,18 +660,18 @@ class TestParseMemo:
         # main writes the resolved tolerances into its namespace; the next
         # call must see its own defaults, not the previous call's flags
         seen = []
-        params_from_coefficients = cli.params_from_coefficients
+        synthesize = cli.synthesize
         classify_params = cli.slocc.classify_params
 
         def spy_root(coeffs, tol):
             seen.append(("root", tol))
-            return params_from_coefficients(coeffs, tol=tol)
+            return synthesize(coeffs, tol=tol)
 
         def spy_cluster(params, tol):
             seen.append(("cluster", tol))
             return classify_params(params, tol=tol)
 
-        monkeypatch.setattr(cli, "params_from_coefficients", spy_root)
+        monkeypatch.setattr(cli, "synthesize", spy_root)
         monkeypatch.setattr(cli.slocc, "classify_params", spy_cluster)
         monkeypatch.delenv(cli.ENV_TOL_ROOT, raising=False)
         monkeypatch.delenv(cli.ENV_TOL_CLUSTER, raising=False)
@@ -686,6 +684,8 @@ class TestParseMemo:
             (["classify", "-"], [("root", root), ("cluster", cluster)]),
         ):
             seen.clear()
+            # every call synthesizes, so the spy sees each call's tolerance
+            cli._synthesis.cache_clear()
             monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GHZ3)))
             assert cli.main(argv) == cli.EXIT_OK
             assert json.loads(capsys.readouterr().out)["class"] == "GHZ"
@@ -720,6 +720,103 @@ class TestParseMemo:
         assert capsys.readouterr().out == first
         info = cli._parsed.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+class TestDocumentMemo:
+    """The last document's parse and synthesis are kept, keyed on its text and
+    the root tolerance; the document, the environment and the cluster
+    tolerance are still read on every call, and errors repeat."""
+
+    @pytest.fixture
+    def synth_calls(self, monkeypatch):
+        calls = []
+        synthesize = cli.synthesize
+
+        def spy(coeffs, tol):
+            calls.append(tol)
+            return synthesize(coeffs, tol=tol)
+
+        monkeypatch.setattr(cli, "synthesize", spy)
+        return calls
+
+    @staticmethod
+    def _run(argv, doc):
+        code, out, err, caught = run_strict(argv, doc)
+        assert_clean_exit(code, out, err, caught)
+        return code, out, err
+
+    def test_synthesize_then_classify_synthesizes_once(self, synth_calls):
+        warm = [self._run([command], GHZ3) for command in ("synthesize", "classify", "rates")]
+        assert synth_calls == [cli.SYNTHESIS_TOL]
+        for command, result in zip(("synthesize", "classify", "rates"), warm):
+            clear_cli_memos()
+            assert self._run([command], GHZ3) == result
+        assert len(synth_calls) == 4
+
+    def test_root_tolerance_is_part_of_the_key(self, synth_calls, monkeypatch):
+        monkeypatch.delenv(cli.ENV_TOL_ROOT, raising=False)
+        self._run(["classify"], GHZ3)
+        self._run(["--tol-root", "1e-6", "classify"], GHZ3)
+        monkeypatch.setenv(cli.ENV_TOL_ROOT, "1e-7")
+        self._run(["classify"], GHZ3)
+        self._run(["synthesize"], GHZ3)
+        assert synth_calls == [cli.SYNTHESIS_TOL, 1e-6, 1e-7]
+        # the cluster tolerance is not part of the key
+        self._run(["--tol-cluster", "1e-3", "classify"], GHZ3)
+        assert len(synth_calls) == 3
+
+    def test_only_the_last_document_is_kept(self, synth_calls):
+        for doc in (GHZ3, W3, GHZ3):
+            self._run(["classify"], doc)
+        assert len(synth_calls) == 3
+
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_failed_round_trip_repeats(self, command, monkeypatch):
+        perturb_round_trip(monkeypatch)
+        for _ in range(2):
+            code, _, err = self._run([command], GHZ3)
+            assert code == cli.EXIT_NUMERICAL
+            assert err.startswith("error: synthesis round trip failed: residual ")
+        assert cli._synthesis.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("command", ["synthesize", "classify", "rates"])
+    def test_malformed_document_repeats(self, command):
+        doc = {"N": 3, "dicke_coefficients": [{"re": 1.0}]}
+        for _ in range(2):
+            code, _, err = self._run([command], doc)
+            assert code == cli.EXIT_INPUT
+            assert err == "error: 'dicke_coefficients' must hold 4 entries\n"
+        assert cli._parsed_document.cache_info().currsize == 0
+
+    def test_rates_warning_stays_with_rates(self):
+        doc = _coeff_doc(4, [0, 1, 0, 0, 0])
+        for command in ("rates", "rates", "classify"):
+            _, out, _ = self._run([command], doc)
+            warnings = json.loads(out)["warnings"]
+            if command == "rates":
+                assert len(warnings) == 1 and "exceeds 1" in warnings[0]
+            else:
+                assert warnings == []
+        assert cli._parsed_document.cache_info().misses == 1
+
+    def test_renormalized_params_warn_on_every_command(self):
+        doc = _param_doc([(math.sqrt(1 + 1e-8), 0), (0, 1), (1, 0), (0, 1)])
+        for command in ("simulate", "rates", "classify"):
+            _, out, _ = self._run([command], doc)
+            warnings = json.loads(out)["warnings"]
+            assert warnings[0] == "params[0] renormalized (deviation 1e-08)"
+            assert len(warnings) == (2 if command == "rates" else 1)
+        assert cli._parsed_document.cache_info().misses == 1
+
+    def test_cached_arrays_are_read_only(self):
+        self._run(["synthesize"], GHZ3)
+        self._run(["classify"], HV)
+        text = json.dumps(GHZ3)
+        kind, coeffs, _ = cli._parsed_document(text)
+        assert kind == "coefficients" and not coeffs.c.flags.writeable
+        assert not cli._synthesis(text, cli.SYNTHESIS_TOL).roots.flags.writeable
+        kind, params, _ = cli._parsed_document(json.dumps(HV))
+        assert kind == "params" and isinstance(params, tuple)
 
 
 NON_FINITE = ["nan", "inf", "-inf", float("nan"), float("inf"), float("-inf")]
@@ -919,8 +1016,8 @@ class TestDocumentFuzz:
 
 #: The synthesis entry point each command calls.
 _SYNTHESIS_CALL = {"synthesize": "symphot.cli.synthesize",
-                   "classify": "symphot.cli.params_from_coefficients",
-                   "rates": "symphot.cli.params_from_coefficients"}
+                   "classify": "symphot.cli.synthesize",
+                   "rates": "symphot.cli.synthesize"}
 
 #: Each command's main numerical call and a document that reaches it.
 _NUMERICAL_CALL = {**{command: (call, GHZ3) for command, call in _SYNTHESIS_CALL.items()},

@@ -61,7 +61,6 @@ def test_golden(case):
 @pytest.mark.parametrize("case", _load(), ids=lambda case: case["name"])
 def test_parse_memo_parity(case):
     # the first run parses its argv cold, the second reads the parse memo
-    cli._parsed.cache_clear()
     cold = _run(case)
     warm = _run(case)
     info = cli._parsed.cache_info()
@@ -70,6 +69,19 @@ def test_parse_memo_parity(case):
     assert cold[0] == warm[0] == case["exit"]
     assert cold[1] == warm[1]
     assert _mask_residues(warm[1]) == _mask_residues(case["stdout"])
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_document_memo_parity(order):
+    # the corpus runs each coefficient document through synthesize, classify
+    # and rates in a row; run back to back, either way round, the later
+    # commands read the first one's parse and synthesis
+    cases = _load()
+    for case in cases if order == "forward" else cases[::-1]:
+        code, stdout = _run(case)
+        assert code == case["exit"], case["name"]
+        assert _mask_residues(stdout) == _mask_residues(case["stdout"]), case["name"]
+    assert cli._synthesis.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("case", [case for case in _load() if case["argv"][0] == "simulate"],

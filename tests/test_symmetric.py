@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from math import comb, factorial, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +168,22 @@ class TestCoefficients:
                 assert expected.amplitude(key) == pytest.approx(amp, abs=1e-10)
 
 
+def _normalization_bits():
+    """``normalization_squared`` of 300 seeded random params at N = 1..30, as hex."""
+    rng = np.random.default_rng(900)
+    return [normalization_squared(random_params(n, rng)).hex()
+            for n in range(1, 31) for _ in range(10)]
+
+
+#: The child process of ``test_bits_independent_of_cpu_dispatch``.
+_NORMALIZATION_BITS = """
+import json
+from conftest import numpy_complex_multiply_matches_python
+from test_symmetric import _normalization_bits
+print(json.dumps({"probe": numpy_complex_multiply_matches_python(), "bits": _normalization_bits()}))
+"""
+
+
 class TestNormalization:
     def test_identical_triple(self):
         assert normalization_squared([HPOL] * 3) == pytest.approx(6.0)
@@ -173,6 +194,19 @@ class TestNormalization:
     def test_diagonal_mix(self):
         diag = PolarizationAmplitude(1 / sqrt(2), 1 / sqrt(2))
         assert normalization_squared([HPOL, diag]) == pytest.approx(1.5)
+
+    def test_bits_independent_of_cpu_dispatch(self):
+        # squares of the (re, im) parts, not complex abs: no hypot, so the bits
+        # are the same with numpy's X86_V3/X86_V4 kernels turned off
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4",
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        child = subprocess.run([sys.executable, "-c", _NORMALIZATION_BITS], env=env,
+                               capture_output=True, text=True, timeout=120, check=True)
+        got = json.loads(child.stdout)
+        if not got["probe"]:
+            pytest.skip("NPY_DISABLE_CPU_FEATURES left numpy's FMA dispatch on")
+        assert got["bits"] == _normalization_bits()
 
     def test_matches_product_state_norm(self, rng):
         # the closed form vs the explicit ladder expansion
@@ -191,7 +225,7 @@ class TestNormalization:
         for params in (random_params(n, rng), h_and_v,
                        [p] * n, [p] * (n // 2) + [q] * (n - n // 2), [HPOL] * n, [VPOL] * n):
             c = coefficients_from_params(params).c
-            want = float((abs(c) ** 2).sum() / factorial(n))
+            want = float(np.square(c.view(float)).sum() / factorial(n))
             assert normalization_squared(params).hex() == want.hex()
 
 
